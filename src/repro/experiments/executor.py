@@ -27,7 +27,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Optional
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.config import MachineConfig
 from repro.obs import (
@@ -117,9 +117,27 @@ class PointJob:
                 trace_stream(config), machine,
                 keep_state=False, obs=obs,
             )
+        return self.value(result)
+
+    def value(self, result: Any) -> float:
+        """This job's metric, read off its ``SimResult``."""
         if self.metric == METRIC_NS_PER_FMA:
             return result.time_ns / result.fma_count
         return result.time_ns
+
+    def stack_key(self) -> Optional[tuple]:
+        """Jobs with equal keys evaluate as one fast-tier stack.
+
+        Fast and analytic jobs of the plain SAVE mechanism match when
+        they differ at most in their sparsity levels and metric; every
+        other job (exact engine, rival mechanisms) returns ``None`` and
+        runs alone.
+        """
+        if self.engine == "exact" or self.mechanism != "save":
+            return None
+        from repro.fastsim import stack_key
+
+        return (self.engine, self.machine, stack_key(self.config))
 
     def run_instrumented(
         self, sink: Optional[TraceSink] = None
@@ -138,9 +156,57 @@ class PointJob:
         return value, obs.snapshot()
 
 
+#: Most points one stacked fast-tier call evaluates.  Past ~32 points a
+#: stack runs no faster per point; its arrays (~37 kB per point for a
+#: 4x6 mixed-precision tile at k_steps=24) would only raise peak memory.
+STACK_POINTS = 32
+
+
+def _stacks(jobs: Sequence[PointJob]) -> Iterator[list[PointJob]]:
+    """Split jobs, in order, into runs that share a non-None stack key."""
+    stack: list[PointJob] = []
+    key: Optional[tuple] = None
+    for job in jobs:
+        job_key = job.stack_key()
+        if stack and (
+            job_key is None or job_key != key or len(stack) >= STACK_POINTS
+        ):
+            yield stack
+            stack = []
+        stack.append(job)
+        key = job_key
+    if stack:
+        yield stack
+
+
+def run_jobs(jobs: Sequence[PointJob]) -> list[float]:
+    """Run jobs in order, evaluating fast-tier stacks as one call each.
+
+    Consecutive fast or analytic jobs that differ only in sparsity (and
+    metric) go to :func:`repro.fastsim.simulate_config` as one config
+    stack of at most :data:`STACK_POINTS`; every other job runs alone.
+    Values equal ``[job.run() for job in jobs]`` bit for bit.  Both the
+    serial :meth:`SimExecutor.map` and the pool workers run through here.
+    """
+    values: list[float] = []
+    for stack in _stacks(jobs):
+        if len(stack) == 1:
+            values.append(stack[0].run())
+            continue
+        from repro.fastsim import simulate_config
+
+        head = stack[0]
+        results = simulate_config(
+            [job.config for job in stack], head.machine, head.engine
+        )
+        values.extend(job.value(result) for job, result in zip(stack, results))
+    return values
+
+
 def _run_chunk(chunk: list[tuple[int, PointJob]]) -> list[tuple[int, float]]:
     """Worker entry point: run one chunk of (index, job) pairs."""
-    return [(index, job.run()) for index, job in chunk]
+    values = run_jobs([job for _, job in chunk])
+    return [(index, value) for (index, _), value in zip(chunk, values)]
 
 
 def _run_chunk_instrumented(
@@ -290,7 +356,7 @@ class SimExecutor:
             if self.instrumented:
                 return self._map_instrumented(jobs)
             if not self.parallel or len(jobs) == 1:
-                return [job.run() for job in jobs]
+                return run_jobs(jobs)
             indexed = list(enumerate(jobs))
             chunks = self._chunks(indexed)
             completed = self._run_chunks(_run_chunk, chunks)
@@ -366,8 +432,10 @@ __all__ = [
     "METRIC_TIME_NS",
     "PointJob",
     "SERIAL_EXECUTOR",
+    "STACK_POINTS",
     "SimExecutor",
     "default_executor",
     "merge_indexed",
     "resolve_jobs",
+    "run_jobs",
 ]

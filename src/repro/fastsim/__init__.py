@@ -32,7 +32,7 @@ from repro.fastsim.engine import (
     simulate_trace,
     validate_engine,
 )
-from repro.fastsim.soa import TraceArrays
+from repro.fastsim.soa import TraceArrays, stack_key
 
 __all__ = [
     "ENGINES",
@@ -48,5 +48,6 @@ __all__ = [
     "simulate_config",
     "simulate_stream",
     "simulate_trace",
+    "stack_key",
     "validate_engine",
 ]

@@ -180,14 +180,8 @@ def run_calibration(
         configs, exact = _exact_cycles(
             spec, machine, levels, k_steps, seed, executor
         )
-        x = np.stack(
-            [
-                fast_engine.features(
-                    fast_engine.bounds(TraceArrays.from_config(config), machine)
-                )
-                for config in configs
-            ]
-        )
+        breakdowns = fast_engine.bounds(TraceArrays.from_config(configs), machine)
+        x = np.stack([fast_engine.features(breakdown) for breakdown in breakdowns])
         if fit:
             w = _fit_weights(x, exact)
         else:

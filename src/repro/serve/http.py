@@ -73,6 +73,11 @@ class ServeHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: Listen backlog.  socketserver's default of 5 overflows under a
+    #: burst of concurrent clients: the kernel drops the extra SYNs and
+    #: each dropped client waits out the 1 s initial retransmit timeout
+    #: before its connect succeeds.
+    request_queue_size = 128
 
     def __init__(self, address: tuple[str, int], service: SimService) -> None:
         super().__init__(address, _Handler)

@@ -9,9 +9,9 @@ reports throughput + exact latency percentiles per mix:
   by dedup (in-flight twins) and the result store.  Exercises the
   content-addressed cache tier.
 * **scan** — grid scans: each request evaluates a *different* sparsity
-  point of the same kernel/machine (shared ``batch_key``), so
-  closely-spaced submits coalesce into wide micro-batches.  Exercises
-  batch formation.
+  point of the same kernel/machine (shared ``batch_key``; the 10 x 10
+  grid repeats after 100 requests), so closely-spaced submits coalesce
+  into wide micro-batches.  Exercises batch formation.
 * **cold** — cold misses: every request carries a distinct kernel seed,
   so nothing dedups, nothing batches and nothing is cached.  Exercises
   raw per-request simulation cost.
@@ -89,9 +89,11 @@ def build_requests(
     elif mix == "scan":
         # Distinct points of one kernel/machine: same batch_key, so
         # closely spaced submits coalesce into wide executor batches.
+        # The points walk a 10 x 10 grid inside [0.05, 0.95] and wrap
+        # after 100 requests, so every level stays a valid sparsity.
         for i in range(count):
             bs = round(0.05 + 0.9 * (i % 10) / 10, 6)
-            nbs = round(0.05 + 0.9 * (i // 10) / 10, 6)
+            nbs = round(0.05 + 0.9 * ((i // 10) % 10) / 10, 6)
             requests.append(
                 {
                     "kind": "point",

@@ -13,6 +13,7 @@ so that "zero" and "non-zero" are unambiguous after FP32/BF16 rounding.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 import numpy as np
@@ -41,7 +42,7 @@ def zero_mask(shape: tuple[int, ...], sparsity: float, rng: RngLike = None) -> n
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
     generator = _as_rng(rng)
-    size = int(np.prod(shape))
+    size = math.prod(shape)
     n_zero = int(round(sparsity * size))
     mask = np.zeros(size, dtype=bool)
     if n_zero:
@@ -63,11 +64,22 @@ def sparse_matrix(
     guaranteeing they stay non-zero under BF16 rounding.
     """
     generator = _as_rng(rng)
-    values = generator.uniform(0.25, 2.0, size=shape).astype(np.float32)
-    signs = generator.choice(np.array([-1.0, 1.0], dtype=np.float32), size=shape)
-    values = values * signs
+    values = nonzero_values(shape, generator)
     values[zero_mask(shape, sparsity, generator)] = 0.0
     return values
+
+
+def nonzero_values(shape: tuple[int, ...], rng: RngLike = None) -> np.ndarray:
+    """The dense draw :func:`sparse_matrix` makes before its zero mask.
+
+    FP32 magnitudes uniform in ``[0.25, 2)`` with random sign.  The
+    draws do not depend on the sparsity level, so replaying them and
+    then :func:`zero_mask` reproduces ``sparse_matrix``'s RNG stream.
+    """
+    generator = _as_rng(rng)
+    values = generator.uniform(0.25, 2.0, size=shape).astype(np.float32)
+    signs = generator.choice(np.array([-1.0, 1.0], dtype=np.float32), size=shape)
+    return values * signs
 
 
 def sparsify(values: np.ndarray, sparsity: float, rng: RngLike = None) -> np.ndarray:

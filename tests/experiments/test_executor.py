@@ -312,3 +312,50 @@ class TestPersistentPool:
         executor.map(_jobs(1))
         executor.close()
         executor.close()
+
+
+def _interleaved_jobs():
+    """Fast, analytic and exact jobs of two kernels on two machines, in
+    runs that stack, runs cut by a key change, and lone jobs."""
+    fwd, bwd = get_kernel("resnet2_2_fwd"), get_kernel("resnet3_2_bwd_input")
+
+    def job(spec, machine, bs, nbs, engine="fast", metric=METRIC_NS_PER_FMA):
+        config = spec.config(
+            broadcast_sparsity=bs, nonbroadcast_sparsity=nbs, k_steps=6
+        )
+        return PointJob(config, machine, metric=metric, engine=engine)
+
+    levels = (0.0, 0.25, 0.6, 1.0)
+    jobs = []
+    for bs in levels:
+        jobs += [job(fwd, SAVE_2VPU, bs, nbs) for nbs in levels]
+        jobs.append(job(bwd, SAVE_1VPU, bs, 1.0 - bs))
+        jobs.append(job(fwd, SAVE_1VPU, 1.0 - bs, bs, metric="time_ns"))
+        jobs += [job(bwd, SAVE_1VPU, bs, nbs, engine="analytic") for nbs in levels]
+    jobs.append(job(fwd, SAVE_2VPU, 0.5, 0.5, engine="exact"))
+    jobs += [
+        job(bwd, SAVE_2VPU, (i % 7) / 7, (i % 5) / 5)
+        for i in range(executor_mod.STACK_POINTS + 6)
+    ]
+    return jobs
+
+
+class TestFastStacks:
+    def test_stacks_split_on_key_changes_and_size(self):
+        jobs = _interleaved_jobs()
+        stacks = list(executor_mod._stacks(jobs))
+        assert [job for stack in stacks for job in stack] == jobs
+        for stack in stacks:
+            keys = {job.stack_key() for job in stack}
+            assert len(keys) == 1
+            assert len(stack) == 1 or None not in keys
+            assert len(stack) <= executor_mod.STACK_POINTS
+        assert [len(stack) for stack in stacks[-2:]] == [
+            executor_mod.STACK_POINTS, 6,
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interleaved_map_equals_per_job_runs(self, workers):
+        jobs = _interleaved_jobs()
+        expected = [job.run() for job in jobs]
+        assert SimExecutor(jobs=workers).map(jobs) == expected

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import BASELINE_2VPU, SAVE_2VPU
 from repro.core.pipeline import simulate
@@ -64,6 +66,65 @@ class TestConstruction:
         assert arrays.skipped_fmas == 0
         assert arrays.pass_through_lanes == 0
         assert bool(arrays.effectual.all())
+
+
+#: Sparsity levels: the ends give zero masks of size 0 and of the whole
+#: matrix; a small pool makes points of one stack share their A draws.
+_LEVELS = st.one_of(
+    st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0, allow_nan=False)
+)
+
+
+class TestStackedConstruction:
+    @settings(max_examples=30)
+    @given(
+        name=st.sampled_from(KERNELS + ("explicit_wide", "embedded_tall")),
+        k_steps=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        points=st.lists(st.tuples(_LEVELS, _LEVELS), min_size=1, max_size=6),
+    )
+    def test_stack_equals_per_point_traces(self, name, k_steps, seed, points):
+        configs = [
+            _config(name, bs, nbs, k_steps=k_steps, seed=seed) for bs, nbs in points
+        ]
+        stacked = TraceArrays.from_config(configs)
+        assert stacked.stacked and stacked.points == len(configs)
+        for index, config in enumerate(configs):
+            single = TraceArrays.from_trace(generate_gemm_trace(config))
+            for field in (
+                "a_nz", "b_nz", "effectual", "ml_count", "broadcast_nonzero"
+            ):
+                np.testing.assert_array_equal(
+                    getattr(stacked, field)[index], getattr(single, field)
+                )
+            assert stacked.skipped_fmas[index] == single.skipped_fmas
+            assert stacked.effectual_lanes[index] == single.effectual_lanes
+            assert stacked.pass_through_lanes[index] == single.pass_through_lanes
+
+    def test_one_config_has_no_point_axis(self):
+        single = TraceArrays.from_config(_config("resnet2_2_fwd"))
+        stack = TraceArrays.from_config([_config("resnet2_2_fwd")])
+        assert not single.stacked and stack.stacked
+        np.testing.assert_array_equal(stack.effectual[0], single.effectual)
+        assert isinstance(single.skipped_fmas, int)
+
+    def test_stack_must_differ_only_in_sparsity(self):
+        with pytest.raises(ValueError, match="sparsity"):
+            TraceArrays.from_config(
+                [_config("resnet2_2_fwd"), _config("resnet2_2_fwd", seed=1)]
+            )
+        with pytest.raises(ValueError, match="at least one"):
+            TraceArrays.from_config([])
+
+    def test_stacked_results_equal_one_config_results(self):
+        configs = [
+            _config("resnet3_2_bwd_input", bs, nbs)
+            for bs in (0.0, 0.4) for nbs in (0.0, 0.7, 1.0)
+        ]
+        for engine in ("fast", "analytic"):
+            assert simulate_config(configs, SAVE_2VPU, engine) == [
+                simulate_config(config, SAVE_2VPU, engine) for config in configs
+            ]
 
 
 class TestUopAccounting:

@@ -8,6 +8,7 @@ the on-disk store without re-simulating; the queue backpressures with
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -195,3 +196,32 @@ class TestHttpErrors:
             assert live.client().healthz()["status"] == "draining"
             with pytest.raises(Backpressure):
                 live.client().submit(body())
+
+
+class TestListenBacklog:
+    CONNECTIONS = 16  # well past socketserver's default backlog of 5
+
+    def test_burst_of_connects_never_waits_out_a_syn_retransmit(self, tmp_path):
+        # Nothing accepts until every connect has finished, so each
+        # connection must fit in the listen backlog.  A dropped SYN is
+        # retried only after the 1 s initial RTO, hence the 1 s limit.
+        service = SimService(ServeConfig(port=0, store_dir=tmp_path))
+        server = make_server(service)
+        sockets = []
+        try:
+            for _ in range(self.CONNECTIONS):
+                start = time.perf_counter()
+                try:
+                    sockets.append(
+                        socket.create_connection(
+                            server.server_address[:2], timeout=1.0
+                        )
+                    )
+                except OSError as error:
+                    pytest.fail(f"connect {len(sockets) + 1} failed: {error}")
+                assert time.perf_counter() - start < 1.0
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.server_close()
+            service.close()

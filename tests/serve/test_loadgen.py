@@ -39,6 +39,12 @@ class TestBuildRequests:
         assert len({p.batch_key() for p in parsed}) == 1
         assert len({p.fingerprint() for p in parsed}) == 15
 
+    def test_scan_mix_points_stay_on_the_sparsity_grid(self):
+        requests = build_requests("scan", 300)
+        points = [tuple(request["point"]) for request in requests]
+        assert all(0.0 <= level <= 0.95 for point in points for level in point)
+        assert len(set(points)) == 100  # the 10 x 10 grid, then it wraps
+
     def test_cold_mix_is_unique_in_both_dimensions(self):
         parsed = [parse_request(r) for r in build_requests("cold", 10)]
         assert len({p.fingerprint() for p in parsed}) == 10
