@@ -3,12 +3,10 @@
 The reproduction's headline claims rest on invariants that unit tests
 can only sample: the cycle-accurate core must stay deterministic
 (parallel == serial bit-for-bit), every trace event the simulator emits
-must match the versioned schema in :mod:`repro.obs.trace`, the threaded
-serving layer must touch shared state only under its locks, and every
-identity axis (engine, mechanism, kernel, machine, metric) must reach
-every fingerprint surface.  This package machine-checks those
-invariants on every change with a whole-program analysis engine over
-``src/``:
+must match the versioned schema in :mod:`repro.obs.trace`, and the
+threaded serving layer must touch shared state only under its locks.
+This package machine-checks those invariants on every change with a
+whole-program analysis engine over ``src/``:
 
 * :mod:`repro.check.engine` — the runner: file walking, suppression
   comments, diagnostics, the :class:`Rule`/:class:`FactRule` base
@@ -26,9 +24,6 @@ invariants on every change with a whole-program analysis engine over
 * :mod:`repro.check.locks` — attribute writes outside the owning
   lock, lock-free calls to ``*_locked`` helpers (call-graph-aware),
   and bare ``acquire()`` without try/finally.
-* :mod:`repro.check.identity` — every ``PointJob`` identity axis must
-  reach every identity surface (serve fingerprint, batch key,
-  sweep-store meta, trace common fields, ``SimResult``).
 * :mod:`repro.check.contracts` — ``*_FIELDS``/``*_COLUMNS``/
   ``*_PHASES`` edits must come with a ``*_SCHEMA_VERSION`` bump,
   enforced against the committed ``contracts.json`` snapshot.
@@ -62,7 +57,6 @@ from repro.check.engine import (
     UnknownRuleError,
     run_checks,
 )
-from repro.check.identity import IdentityCompletenessRule
 from repro.check.locks import LockDisciplineRule
 from repro.check.schema_drift import SchemaDriftRule
 
@@ -98,7 +92,6 @@ ALL_RULES: tuple = (
     *DETERMINISM_RULES,
     SchemaDriftRule(),
     LockDisciplineRule(),
-    IdentityCompletenessRule(),
     ContractVersionRule(),
     ProcessBoundaryRule(),
     _UnusedSuppressionRule(),

@@ -77,8 +77,8 @@ def check_main(argv: Optional[list[str]] = None) -> int:
         prog="save-repro check",
         description=(
             "Whole-program invariant analysis: determinism, trace-schema "
-            "drift, lock discipline, identity-axis completeness, contract "
-            "versioning and process-boundary safety over the source tree.  "
+            "drift, lock discipline, contract versioning and "
+            "process-boundary safety over the source tree.  "
             "Suppress an intentional finding with "
             "`# repro: no-check[rule-id]` (see docs/architecture.md)."
         ),

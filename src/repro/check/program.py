@@ -1,7 +1,7 @@
 """Whole-program facts: the symbol table and call graph of one tree.
 
-``repro check`` v2 runs its cross-module rule families (identity
-completeness, contract-version coupling, call-graph lock discipline,
+``repro check`` v2 runs its cross-module rule families
+(contract-version coupling, call-graph lock discipline,
 process-boundary escape) over a **program index** instead of raw ASTs.
 Each file is distilled once into a :class:`ProgramFacts` record — the
 module-level assignments (with literal values and an AST content
@@ -372,7 +372,7 @@ def _returned_dict_keys(fn: ast.AST) -> Optional[tuple[str, ...]]:
     """String keys of the dict this function returns, if statically clear.
 
     Handles ``return {...}`` directly and the one-hop form ``x = {...};
-    return x`` (``SimRequest.canonical`` builds the payload in place).
+    return x`` (a payload built in place, then returned).
     """
     returns: list[ast.expr] = []
     assigns: dict[str, ast.expr] = {}

@@ -103,6 +103,25 @@ class MachineConfig:
         return replace(self, core=replace(self.core, **kwargs))
 
 
+def machine_label(machine: MachineConfig) -> str:
+    """Short display name of a machine, for reports and query columns.
+
+    It names the SAVE features and VPU count only, so two machines can
+    share a label; result keys use the full canonical form instead.
+    """
+    core = machine.core
+    save = machine.save
+    if not save.enabled:
+        return f"baseline-{core.num_vpus}vpu@{core.freq_ghz}"
+    return (
+        f"save-{save.coalescing.value}"
+        f"{'+lwd' if save.lane_wise_dependence else ''}"
+        f"{'+mp' if save.mixed_precision_technique else ''}"
+        f"-b${save.broadcast_cache.name.lower()}"
+        f"-{core.num_vpus}vpu@{core.freq_ghz}"
+    )
+
+
 #: The paper's baseline: two 512-bit VPUs at 1.7 GHz, no SAVE.
 BASELINE_2VPU = MachineConfig(
     core=CoreConfig(num_vpus=2, freq_ghz=1.7),

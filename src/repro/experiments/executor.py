@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.core.config import MachineConfig
+from repro.fsio import canonical
+from repro.kernels.gemm import POINT_AXES
 from repro.obs import (
     Instrumentation,
     MetricsRegistry,
@@ -85,6 +87,22 @@ class PointJob:
     #: (config, machine) transform by :mod:`repro.rivals.mechanisms`
     #: just before simulation.  Rivals are exact-engine only.
     mechanism: str = "save"
+
+    def canonical_series(self) -> dict[str, Any]:
+        """Canonical form of this job minus its point axes.
+
+        Jobs that differ only in their sparsity levels share a series.
+        Every result key (serve fingerprint and batch key, sweep-store
+        fingerprint, surface-cache key) is a fingerprint of this form,
+        so every field of the job, its config and its machine is part
+        of every key by construction.
+        """
+        return canonical(self, drop=POINT_AXES)
+
+    def at(self, bs: float, nbs: float) -> PointJob:
+        """The job of this series at one ``(bs, nbs)`` point."""
+        point = dict(zip(POINT_AXES, (bs, nbs)))
+        return replace(self, config=replace(self.config, **point))
 
     def _resolved(self) -> tuple[Any, MachineConfig]:
         """(config, machine) after applying the mechanism transform."""

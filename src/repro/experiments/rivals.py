@@ -66,34 +66,19 @@ def compare_mechanisms(
     if not mechanisms:
         raise ValueError("mechanisms must not be empty")
     points = [(float(bs), float(nbs)) for bs in levels for nbs in levels]
-
-    def config(bs: float, nbs: float):
-        return spec.config(
-            broadcast_sparsity=bs,
-            nonbroadcast_sparsity=nbs,
-            k_steps=k_steps,
-            seed=seed,
-        )
-
+    base = spec.config(k_steps=k_steps, seed=seed)
+    series = [
+        PointJob(config=base, machine=machine, engine="exact", mechanism=m)
+        for m in mechanisms
+    ]
     # Validate every mechanism/kernel pairing before simulating
     # anything — a bad pairing should fail in milliseconds.
-    for mechanism in mechanisms:
-        resolve_mechanism(mechanism, config(0.0, 0.0), machine, "exact")
+    for job in series:
+        resolve_mechanism(job.mechanism, base, machine, "exact")
 
-    jobs = [
-        PointJob(
-            config=config(0.0, 0.0), machine=baseline,
-            engine="exact", mechanism="save",
-        )
-    ]
-    for mechanism in mechanisms:
-        for bs, nbs in points:
-            jobs.append(
-                PointJob(
-                    config=config(bs, nbs), machine=machine,
-                    engine="exact", mechanism=mechanism,
-                )
-            )
+    jobs = [PointJob(config=base, machine=baseline, engine="exact")]
+    for job in series:
+        jobs.extend(job.at(bs, nbs) for bs, nbs in points)
     runner = default_executor(executor)
     values = runner.map(jobs)
     base_time, point_times = values[0], values[1:]
@@ -111,16 +96,20 @@ def compare_mechanisms(
             speedups[mechanism] = grid
             times[mechanism] = list(slice_times)
     if store_root is not None:
-        _record_comparison(
-            store_root, spec, machine, mechanisms, points, times,
-            k_steps, seed, store_overwrite,
-        )
-    sample = config(0.0, 0.0)
+        from repro.store import SweepWriter
+
+        for job in series:
+            with SweepWriter(store_root, job, overwrite=store_overwrite) as writer:
+                writer.append_batch(
+                    [bs for bs, _ in points],
+                    [nbs for _, nbs in points],
+                    times[job.mechanism],
+                )
     return {
         "kernel": spec.name,
         "pattern": getattr(spec, "pattern", None),
         "effective_bs_floor": getattr(
-            sample, "effective_broadcast_sparsity", 0.0
+            base, "effective_broadcast_sparsity", 0.0
         ),
         "levels": [float(level) for level in levels],
         "k_steps": k_steps,
@@ -130,37 +119,6 @@ def compare_mechanisms(
         "speedups": speedups,
         "times": times,
     }
-
-
-def _record_comparison(
-    store_root: Union[str, Path],
-    spec: KernelSpec,
-    machine: MachineConfig,
-    mechanisms: Sequence[str],
-    points: Sequence[tuple[float, float]],
-    times: dict[str, list[float]],
-    k_steps: int,
-    seed: int,
-    overwrite: bool,
-) -> None:
-    """One mechanism-tagged store sweep per mechanism."""
-    from repro.model.surface import machine_label
-    from repro.store import SweepWriter
-
-    for mechanism in mechanisms:
-        meta = {
-            "kernel": spec.name,
-            "machine": machine_label(machine),
-            "engine": "exact",
-            "mechanism": mechanism,
-            "metric": "time_ns",
-            "precision": spec.default_precision.value,
-            "k_steps": k_steps,
-            "seed": seed,
-        }
-        with SweepWriter(store_root, meta, overwrite=overwrite) as writer:
-            for (bs, nbs), time in zip(points, times[mechanism]):
-                writer.append(bs, nbs, time)
 
 
 def run(ctx: Optional[RunContext] = None) -> ExperimentReport:

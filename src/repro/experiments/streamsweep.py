@@ -29,7 +29,6 @@ from repro.experiments.executor import (
 )
 from repro.kernels.library import KernelSpec, get_kernel
 from repro.kernels.tiling import Precision
-from repro.model.surface import machine_label
 from repro.obs import maybe_span
 from repro.store import DEFAULT_SEGMENT_ROWS, SweepWriter
 
@@ -83,39 +82,30 @@ def stream_sweep(
         metric: per-point value recorded (``ns_per_fma`` or ``time_ns``).
         overwrite: replace an existing sweep with the same identity.
 
-    Returns a summary dict: fingerprint, machine label, points written.
+    Returns a summary dict: the sweep's fingerprint, its manifest meta
+    columns (kernel, machine label, engine, ...) and the points written.
     """
     if batch_points <= 0:
         raise ValueError("batch_points must be positive")
     spec = get_kernel(kernel)
-    resolved = precision if precision is not None else spec.default_precision
+    series = PointJob(
+        config=spec.config(precision=precision, k_steps=k_steps, seed=seed),
+        machine=machine,
+        metric=metric,
+        engine=engine,
+        mechanism=mechanism,
+    )
     if mechanism != "save":
         # Fail before the store directory exists: validates the name,
         # the engine pairing, and the config/mechanism compatibility.
         from repro.rivals.mechanisms import resolve_mechanism
 
-        resolve_mechanism(
-            mechanism,
-            spec.config(precision=resolved, k_steps=k_steps, seed=seed),
-            machine,
-            engine,
-        )
-    label = machine_label(machine)
-    meta = {
-        "kernel": spec.name,
-        "machine": label,
-        "engine": engine,
-        "mechanism": mechanism,
-        "metric": metric,
-        "precision": resolved.value,
-        "k_steps": k_steps,
-        "seed": seed,
-    }
+        resolve_mechanism(mechanism, series.config, machine, engine)
     runner = default_executor(executor)
     points = _grid(bs_levels, nbs_levels)
     total = 0
     with SweepWriter(
-        store_root, meta, segment_rows=segment_rows, overwrite=overwrite
+        store_root, series, segment_rows=segment_rows, overwrite=overwrite
     ) as writer:
         with maybe_span(runner.spans, "streamsweep.run", kernel=spec.name):
             while True:
@@ -126,35 +116,11 @@ def stream_sweep(
                         break
                 if not batch:
                     break
-                jobs = [
-                    PointJob(
-                        config=spec.config(
-                            broadcast_sparsity=bs,
-                            nonbroadcast_sparsity=nbs,
-                            precision=resolved,
-                            k_steps=k_steps,
-                            seed=seed,
-                        ),
-                        machine=machine,
-                        metric=metric,
-                        engine=engine,
-                        mechanism=mechanism,
-                    )
-                    for bs, nbs in batch
-                ]
-                values = runner.map(jobs)
+                values = runner.map([series.at(bs, nbs) for bs, nbs in batch])
                 writer.append_batch(
                     [bs for bs, _ in batch],
                     [nbs for _, nbs in batch],
                     values,
                 )
                 total += len(batch)
-    return {
-        "fingerprint": writer.fingerprint,
-        "kernel": spec.name,
-        "machine": label,
-        "engine": engine,
-        "mechanism": mechanism,
-        "metric": metric,
-        "points": total,
-    }
+    return {"fingerprint": writer.fingerprint, **writer.meta, "points": total}

@@ -96,36 +96,15 @@ def sweep_kernel(
     per machine, metric ``time_ns``) so results stay queryable via
     ``repro query`` after the figures are gone.
     """
-    jobs: list[PointJob] = [
-        PointJob(
-            config=spec.config(
-                broadcast_sparsity=0.0,
-                nonbroadcast_sparsity=0.0,
-                precision=precision,
-                k_steps=k_steps,
-                seed=seed,
-            ),
-            machine=baseline,
-            engine=engine,
-        )
+    base = spec.config(precision=precision, k_steps=k_steps, seed=seed)
+    series = [
+        PointJob(config=base, machine=machine, engine=engine, mechanism=mechanism)
+        for machine in machines.values()
     ]
     points = [(bs, nbs) for bs in bs_levels for nbs in nbs_levels]
-    for machine in machines.values():
-        for bs, nbs in points:
-            jobs.append(
-                PointJob(
-                    config=spec.config(
-                        broadcast_sparsity=bs,
-                        nonbroadcast_sparsity=nbs,
-                        precision=precision,
-                        k_steps=k_steps,
-                        seed=seed,
-                    ),
-                    machine=machine,
-                    engine=engine,
-                    mechanism=mechanism,
-                )
-            )
+    jobs = [PointJob(config=base, machine=baseline, engine=engine)]
+    for job in series:
+        jobs.extend(job.at(bs, nbs) for bs, nbs in points)
     runner = default_executor(executor)
     times = runner.map(jobs)
     base_time, point_times = times[0], times[1:]
@@ -138,44 +117,13 @@ def sweep_kernel(
                 speedups[(round(bs, 2), round(nbs, 2))] = base_time / time
             results[label] = SweepResult(label, speedups)
     if store_root is not None:
-        _record_sweep(
-            store_root, spec, machines, points, point_times,
-            precision, k_steps, seed, engine, mechanism, store_overwrite,
-        )
-    return results
+        from repro.store import SweepWriter
 
-
-def _record_sweep(
-    store_root: Path,
-    spec: KernelSpec,
-    machines: dict[str, MachineConfig],
-    points: Sequence[tuple[float, float]],
-    point_times: Sequence[float],
-    precision: Optional[Precision],
-    k_steps: int,
-    seed: int,
-    engine: str,
-    mechanism: str,
-    overwrite: bool,
-) -> None:
-    """Append one sweep's raw point times to the columnar store."""
-    from repro.model.surface import machine_label
-    from repro.store import SweepWriter
-
-    resolved = precision if precision is not None else spec.default_precision
-    for m_index, machine in enumerate(machines.values()):
-        meta = {
-            "kernel": spec.name,
-            "machine": machine_label(machine),
-            "engine": engine,
-            "mechanism": mechanism,
-            "metric": "time_ns",
-            "precision": resolved.value,
-            "k_steps": k_steps,
-            "seed": seed,
-        }
-        with SweepWriter(store_root, meta, overwrite=overwrite) as writer:
-            for p_index, (bs, nbs) in enumerate(points):
-                writer.append(
-                    bs, nbs, point_times[m_index * len(points) + p_index]
+        for m_index, job in enumerate(series):
+            with SweepWriter(store_root, job, overwrite=store_overwrite) as writer:
+                writer.append_batch(
+                    [bs for bs, _ in points],
+                    [nbs for _, nbs in points],
+                    point_times[m_index * len(points) : (m_index + 1) * len(points)],
                 )
+    return results

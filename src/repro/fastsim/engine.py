@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.config import CoalescingScheme, MachineConfig
+from repro.core.config import CoalescingScheme, MachineConfig, machine_label
 from repro.core.pipeline import SimResult
 from repro.core.save.rotate import rotation_offset, slot_for_lane
 from repro.fastsim.soa import TraceArrays
@@ -99,8 +99,6 @@ def class_key(tile, precision, machine: MachineConfig) -> str:
     one set of per-class weights must interpolate across the whole
     sparsity grid and transfer across reduction depths.
     """
-    from repro.model.surface import machine_label
-
     return (
         f"{tile.rows}x{tile.col_vectors}"
         f":{tile.pattern.value}:{precision.value}"

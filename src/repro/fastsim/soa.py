@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.isa.datatypes import BF16_LANES, FP32_LANES
 from repro.isa.uops import UopKind
-from repro.kernels.gemm import GemmKernelConfig
+from repro.kernels.gemm import POINT_AXES, GemmKernelConfig
 from repro.kernels.stream import TraceStream
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
 from repro.kernels.trace import DEFAULT_CHUNK, KernelTrace
@@ -402,9 +402,6 @@ class TraceArrays:
         return counts.reshape(self.points, -1).sum(axis=-1, dtype=np.int64)
 
 
-_SPARSITY_FIELDS = frozenset({"broadcast_sparsity", "nonbroadcast_sparsity"})
-
-
 def stack_key(config: GemmKernelConfig) -> tuple:
     """Everything about a config except its two sparsity levels.
 
@@ -422,5 +419,5 @@ def _stack_fields(config_type: type) -> tuple[str, ...]:
     return tuple(
         field.name
         for field in dataclasses.fields(config_type)
-        if field.name not in _SPARSITY_FIELDS
+        if field.name not in POINT_AXES
     )

@@ -19,10 +19,14 @@ primitives make that safe:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import json
 import os
 import time
+from collections.abc import Collection
+from enum import Enum
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -36,6 +40,7 @@ __all__ = [
     "LockTimeout",
     "atomic_write_bytes",
     "atomic_write_text",
+    "canonical",
     "canonical_fingerprint",
 ]
 
@@ -67,6 +72,43 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
         if tmp.exists():  # pragma: no cover - error-path cleanup
             with contextlib.suppress(OSError):
                 tmp.unlink()
+
+
+def canonical(obj: Any, drop: Collection[str] = ()) -> Any:
+    """JSON-ready form of a value built from (frozen) dataclasses.
+
+    Dataclasses become dicts of all their fields, recursively; enums
+    become their values and tuples become lists.  Field names in
+    ``drop`` are left out at every depth.  Every cache and store key is
+    a fingerprint of this form, so a field added to a dataclass joins
+    every key without anyone listing it.
+    """
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    names = _field_names(cls)
+    if names is not None:
+        return {
+            name: canonical(getattr(obj, name), drop)
+            for name in names
+            if name not in drop
+        }
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [canonical(item, drop) for item in obj]
+    return obj
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _field_names(cls: type) -> Optional[tuple[str, ...]]:
+    """A dataclass type's field names; ``None`` for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def canonical_fingerprint(payload: dict[str, Any]) -> str:

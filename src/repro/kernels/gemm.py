@@ -45,6 +45,12 @@ from repro.kernels.trace import KernelTrace
 from repro.memory.address import make_regions
 from repro.sparsity.generators import sparse_matrix
 
+#: The point axes: the config fields a sparsity sweep varies.  Every
+#: other field of a config (and of the job around it) names the series
+#: a point belongs to, so result keys and fast-tier stacks ignore these
+#: two and nothing else.
+POINT_AXES = ("broadcast_sparsity", "nonbroadcast_sparsity")
+
 
 @dataclass(frozen=True)
 class GemmKernelConfig:

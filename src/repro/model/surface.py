@@ -9,13 +9,13 @@ pipeline simulates a kernel's steady-state inner loop at grid points of
 interpolate bilinearly.
 
 Because each grid point is a full cycle-level simulation, surfaces are
-memoised in a :class:`SurfaceStore` (JSON on disk), keyed by kernel
-tiling, precision, machine configuration and grid.
+memoised in a :class:`SurfaceStore` (JSON on disk), keyed by the
+canonical series of the surface's jobs (kernel config, full machine,
+engine) and its grid.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, machine_label
 from repro.core.pipeline import simulate
 from repro.experiments.executor import (
     METRIC_NS_PER_FMA,
@@ -33,7 +33,7 @@ from repro.experiments.executor import (
     SimExecutor,
     default_executor,
 )
-from repro.fsio import FileLock, atomic_write_text
+from repro.fsio import FileLock, atomic_write_text, canonical_fingerprint
 from repro.kernels.gemm import GemmKernelConfig
 from repro.kernels.library import trace_stream
 from repro.kernels.tiling import Precision, RegisterTile
@@ -48,28 +48,15 @@ TRACE_GENERATOR_VERSION = 2
 #: by an older build are invalidated (left orphaned, rebuilt under a
 #: new key) instead of silently reused.  Bump on any change to the
 #: simulator, the surface payload layout, or the key recipe.
-SURFACE_SCHEMA_VERSION = 1
+#: v2: keyed by the canonical series (every machine field), not by
+#: the machine's display label.
+SURFACE_SCHEMA_VERSION = 2
 
 #: The paper's grid: 0%-90% at 10% intervals.
 PAPER_LEVELS = tuple(round(0.1 * i, 1) for i in range(10))
 
 #: Coarse grid for quick runs (tests, default benchmarks).
 COARSE_LEVELS = (0.0, 0.3, 0.6, 0.9)
-
-
-def machine_label(machine: MachineConfig) -> str:
-    """Stable identity string for cache keys and reports."""
-    core = machine.core
-    save = machine.save
-    if not save.enabled:
-        return f"baseline-{core.num_vpus}vpu@{core.freq_ghz}"
-    return (
-        f"save-{save.coalescing.value}"
-        f"{'+lwd' if save.lane_wise_dependence else ''}"
-        f"{'+mp' if save.mixed_precision_technique else ''}"
-        f"-b${save.broadcast_cache.name.lower()}"
-        f"-{core.num_vpus}vpu@{core.freq_ghz}"
-    )
 
 
 def point_config(
@@ -89,6 +76,23 @@ def point_config(
         broadcast_sparsity=bs,
         nonbroadcast_sparsity=nbs,
         seed=seed,
+    )
+
+
+def surface_series(
+    tile: RegisterTile,
+    precision: Precision,
+    machine: MachineConfig,
+    k_steps: int = 24,
+    seed: int = 0,
+    engine: str = "exact",
+) -> PointJob:
+    """The job every grid point of one surface shares (at ``(0, 0)``)."""
+    return PointJob(
+        config=point_config(tile, precision, 0.0, 0.0, k_steps, seed),
+        machine=machine,
+        metric=METRIC_NS_PER_FMA,
+        engine=engine,
     )
 
 
@@ -176,38 +180,19 @@ class SparsitySurface:
         """
         n = len(levels)
         runner = default_executor(executor)
+        series = surface_series(tile, precision, machine, k_steps, seed, engine)
         label = machine_label(machine)
+        points = [(bs, nbs) for bs in levels for nbs in levels]
         with maybe_span(runner.spans, "surface.build", machine=label, grid=n * n):
-            jobs = [
-                PointJob(
-                    config=point_config(tile, precision, bs, nbs, k_steps, seed),
-                    machine=machine,
-                    metric=METRIC_NS_PER_FMA,
-                    engine=engine,
-                )
-                for bs in levels
-                for nbs in levels
-            ]
-            flat = runner.map(jobs)
+            flat = runner.map([series.at(bs, nbs) for bs, nbs in points])
             values = np.array(flat).reshape(n, n)
         if store_root is not None:
             from repro.store import SweepWriter
 
-            meta = {
-                "kernel": "surface",
-                "machine": label,
-                "engine": engine,
-                "metric": METRIC_NS_PER_FMA,
-                "precision": precision.value,
-                "k_steps": k_steps,
-                "seed": seed,
-            }
-            with SweepWriter(store_root, meta, overwrite=store_overwrite) as writer:
-                index = 0
-                for bs in levels:
-                    for nbs in levels:
-                        writer.append(bs, nbs, flat[index])
-                        index += 1
+            with SweepWriter(store_root, series, overwrite=store_overwrite) as writer:
+                writer.append_batch(
+                    [bs for bs, _ in points], [nbs for _, nbs in points], flat
+                )
         return cls(levels=levels, ns_per_fma=values, label=label, engine=engine)
 
 
@@ -273,29 +258,16 @@ class SurfaceStore:
         while len(memory) > self.memo_size:
             memory.popitem(last=False)
 
-    def _key(
-        self,
-        tile: RegisterTile,
-        precision: Precision,
-        machine: MachineConfig,
-        levels: Sequence[float],
-        k_steps: int,
-        engine: str = "exact",
-    ) -> str:
-        raw = json.dumps(
+    @staticmethod
+    def _key(series: PointJob, levels: Sequence[float]) -> str:
+        return canonical_fingerprint(
             {
                 "schema": SURFACE_SCHEMA_VERSION,
                 "generator": TRACE_GENERATOR_VERSION,
-                "tile": [tile.rows, tile.col_vectors, tile.pattern.value],
-                "precision": precision.value,
-                "machine": machine_label(machine),
+                "series": series.canonical_series(),
                 "levels": list(levels),
-                "k_steps": k_steps,
-                "engine": engine,
-            },
-            sort_keys=True,
+            }
         )
-        return hashlib.sha256(raw.encode()).hexdigest()[:24]
 
     def get(
         self,
@@ -314,10 +286,14 @@ class SurfaceStore:
         build-and-write runs under a per-entry advisory
         :class:`repro.fsio.FileLock`, so two processes missing on the
         same key simulate it once: the second blocks, then reads the
-        first's result from disk.  ``engine`` is part of the cache key:
-        surfaces from different tiers never collide.
+        first's result from disk.  The key is the canonical series
+        (kernel config, every machine field, ``engine``) plus the grid,
+        so surfaces of different machines or tiers never collide.
         """
-        key = self._key(tile, precision, machine, levels, k_steps, engine)
+        key = self._key(
+            surface_series(tile, precision, machine, k_steps, engine=engine),
+            levels,
+        )
         memo = self._memory.get(key)
         if memo is not None:
             self._memory.move_to_end(key)

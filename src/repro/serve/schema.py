@@ -3,16 +3,17 @@
 A :class:`SimRequest` names a batch of grid-point simulations — one
 kernel (tile geometry, precision, reduction depth, seed) on one machine
 configuration, evaluated at one ``(bs, nbs)`` point or over a sparsity
-sweep grid.  Everything the service does hangs off two derived
-identities:
+sweep grid.  Everything the service does hangs off two identities,
+both derived from :meth:`repro.experiments.executor.PointJob.canonical_series`
+of the request's ``series`` job:
 
-* :meth:`SimRequest.fingerprint` — a content address over the full
-  canonical request (including :data:`SERVE_SCHEMA_VERSION`).  Equal
+* :meth:`SimRequest.fingerprint` — a content address over the series,
+  the kind and the points (plus :data:`SERVE_SCHEMA_VERSION`).  Equal
   fingerprints ⇒ bit-identical results, so the fingerprint is the
   dedup key, the job id, and the result-store key all at once.
-* :meth:`SimRequest.batch_key` — the fingerprint *minus* the sparsity
-  points.  Requests sharing a batch key differ only in which grid
-  points they evaluate, so the service coalesces them into a single
+* :meth:`SimRequest.batch_key` — the series alone.  Requests sharing a
+  batch key differ only in which grid points they evaluate, so the
+  service coalesces them into a single
   :meth:`repro.experiments.executor.SimExecutor.map` call.
 
 Requests arrive as JSON; :func:`parse_request` validates and
@@ -22,7 +23,6 @@ fragment the content address space).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace as dc_replace
 from enum import Enum
 from typing import Any, Optional
@@ -41,7 +41,7 @@ from repro.experiments.executor import (
     PointJob,
 )
 from repro.fastsim import ENGINES
-from repro.fsio import canonical_fingerprint
+from repro.fsio import canonical, canonical_fingerprint
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
 from repro.memory.broadcast_cache import BroadcastCacheKind
 from repro.model.surface import point_config
@@ -63,7 +63,10 @@ __all__ = [
 #: fingerprint, so they never collide in the result store.
 #: v3: per-request ``mechanism`` (save/sparce) in the canonical form —
 #: mechanism variants never share a fingerprint or a dedup batch.
-SERVE_SCHEMA_VERSION = 3
+#: v4: the fingerprint covers the canonical form of the whole series
+#: job (every kernel config and machine field), not a preset name plus
+#: overrides.
+SERVE_SCHEMA_VERSION = 4
 
 #: Machine configurations clients can name (Table I presets).
 MACHINE_PRESETS: dict[str, MachineConfig] = {
@@ -120,8 +123,8 @@ def _check_fields(payload: dict[str, Any], allowed: set, where: str) -> None:
         )
 
 
-def _canonical_machine(spec: dict[str, Any]) -> dict[str, Any]:
-    """Validate a machine spec and return its canonical form."""
+def _machine(spec: Any) -> MachineConfig:
+    """Validate a machine spec and build the machine it names."""
     if not isinstance(spec, dict):
         raise RequestError("machine: must be an object")
     _check_fields(spec, _MACHINE_FIELDS, "machine")
@@ -131,59 +134,31 @@ def _canonical_machine(spec: dict[str, Any]) -> dict[str, Any]:
             f"machine.preset: unknown preset {preset!r} "
             f"(choices: {sorted(MACHINE_PRESETS)})"
         )
-    canonical: dict[str, Any] = {"preset": preset}
-    base = MACHINE_PRESETS[preset]
-    for section, target in (("core", base.core), ("save", base.save)):
+    machine = MACHINE_PRESETS[preset]
+    for section, target in (("core", machine.core), ("save", machine.save)):
         overrides = spec.get(section)
         if overrides is None:
             continue
         if not isinstance(overrides, dict):
             raise RequestError(f"machine.{section}: must be an object")
-        clean: dict[str, Any] = {}
-        for name in sorted(overrides):
+        kwargs: dict[str, Any] = {}
+        for name, value in overrides.items():
             if not hasattr(target, name):
                 raise RequestError(
                     f"machine.{section}: unknown field {name!r}"
                 )
-            value = overrides[name]
             if section == "save" and name in _SAVE_ENUMS:
-                # Validate now; keep the canonical string in the spec.
-                member = _enum_value(
+                value = _enum_value(
                     _SAVE_ENUMS[name], value, f"machine.save.{name}"
                 )
-                value = (
-                    member.value
-                    if not isinstance(member.value, int)
-                    else member.name.lower()
-                )
-            clean[name] = value
-        if clean:
-            canonical[section] = clean
-    # Construct once to surface dataclass validation errors as 400s.
-    _resolve_machine(canonical)
-    return canonical
-
-
-def _resolve_machine(canonical: dict[str, Any]) -> MachineConfig:
-    machine = MACHINE_PRESETS[canonical["preset"]]
-    core = canonical.get("core")
-    if core:
+            kwargs[name] = value
         try:
-            machine = machine.with_core(**core)
+            if section == "core":
+                machine = machine.with_core(**kwargs)
+            else:
+                machine = machine.with_save(**kwargs)
         except (TypeError, ValueError) as error:
-            raise RequestError(f"machine.core: {error}") from None
-    save = canonical.get("save")
-    if save:
-        kwargs = dict(save)
-        for name, enum_cls in _SAVE_ENUMS.items():
-            if name in kwargs:
-                kwargs[name] = _enum_value(
-                    enum_cls, kwargs[name], f"machine.save.{name}"
-                )
-        try:
-            machine = machine.with_save(**kwargs)
-        except (TypeError, ValueError) as error:
-            raise RequestError(f"machine.save: {error}") from None
+            raise RequestError(f"machine.{section}: {error}") from None
     return machine
 
 
@@ -200,90 +175,37 @@ def _sparsity(raw: Any, field: str) -> float:
 class SimRequest:
     """One validated, canonical simulation request.
 
-    ``points`` is the expanded evaluation set: a single pair for
-    ``kind="point"``, the full ``levels × levels`` cross product (in
-    row-major ``(bs, nbs)`` order, matching
+    ``series`` is the job every point shares: kernel, machine, metric,
+    engine and mechanism (its config's sparsity levels are
+    placeholders).  ``points`` is the expanded evaluation set: a single
+    pair for ``kind="point"``, the full ``levels × levels`` cross
+    product (in row-major ``(bs, nbs)`` order, matching
     :meth:`repro.model.surface.SparsitySurface.build`) for sweeps.
     """
 
     kind: str
-    rows: int
-    cols: int
-    pattern: BroadcastPattern
-    precision: Precision
-    k_steps: int
-    seed: int
-    metric: str
-    machine_spec: str  # canonical JSON (dataclasses must stay hashable)
+    series: PointJob
     points: tuple[tuple[float, float], ...]
     levels: Optional[tuple[float, ...]] = None
-    engine: str = "exact"
-    mechanism: str = "save"
-
-    # -- identity ---------------------------------------------------------
-
-    def canonical(self) -> dict[str, Any]:
-        """The canonical dict the fingerprint is computed over."""
-        return {
-            "schema": SERVE_SCHEMA_VERSION,
-            "kind": self.kind,
-            "kernel": {
-                "rows": self.rows,
-                "cols": self.cols,
-                "pattern": self.pattern.value,
-                "precision": self.precision.value,
-                "k_steps": self.k_steps,
-                "seed": self.seed,
-            },
-            "machine": json.loads(self.machine_spec),
-            "metric": self.metric,
-            "engine": self.engine,
-            "mechanism": self.mechanism,
-            "points": [list(p) for p in self.points],
-            "levels": list(self.levels) if self.levels is not None else None,
-        }
-
-    def _digest(self, payload: dict[str, Any]) -> str:
-        # Shared content-address convention (same algorithm as before
-        # the store unification, so fingerprints are unchanged).
-        return canonical_fingerprint(payload)
 
     def fingerprint(self) -> str:
         """Content address: dedup key, job id and store key in one."""
-        return self._digest(self.canonical())
+        return canonical_fingerprint(
+            {
+                "schema": SERVE_SCHEMA_VERSION,
+                "series": self.series.canonical_series(),
+                "kind": self.kind,
+                "points": canonical(self.points),
+            }
+        )
 
     def batch_key(self) -> str:
-        """Identity minus the evaluation points: the coalescing key."""
-        payload = self.canonical()
-        payload.pop("points")
-        payload.pop("levels")
-        payload.pop("kind")
-        return self._digest(payload)
-
-    # -- resolution -------------------------------------------------------
-
-    def tile(self) -> RegisterTile:
-        return RegisterTile(self.rows, self.cols, self.pattern)
-
-    def machine(self) -> MachineConfig:
-        return _resolve_machine(json.loads(self.machine_spec))
+        """The series alone: requests sharing it coalesce into one batch."""
+        return canonical_fingerprint(self.series.canonical_series())
 
     def jobs(self) -> list[PointJob]:
         """The executor work units, one per evaluation point."""
-        tile = self.tile()
-        machine = self.machine()
-        return [
-            PointJob(
-                config=point_config(
-                    tile, self.precision, bs, nbs, self.k_steps, self.seed
-                ),
-                machine=machine,
-                metric=self.metric,
-                engine=self.engine,
-                mechanism=self.mechanism,
-            )
-            for bs, nbs in self.points
-        ]
+        return [self.series.at(bs, nbs) for bs, nbs in self.points]
 
     def with_points(
         self, points: Sequence[tuple[float, float]]
@@ -323,13 +245,13 @@ def parse_request(payload: Any) -> SimRequest:
         Precision, kernel.get("precision", "fp32"), "kernel.precision"
     )
     try:
-        RegisterTile(rows, cols, pattern)
+        tile = RegisterTile(rows, cols, pattern)
     except ValueError as error:
         raise RequestError(f"kernel: {error}") from None
     if k_steps <= 0:
         raise RequestError("kernel.k_steps: must be positive")
 
-    machine_spec = _canonical_machine(payload.get("machine", {"preset": "save"}))
+    machine = _machine(payload.get("machine", {"preset": "save"}))
 
     metric = payload.get("metric", METRIC_NS_PER_FMA)
     if metric not in _METRICS:
@@ -381,18 +303,11 @@ def parse_request(payload: Any) -> SimRequest:
             raise RequestError("levels: must not contain duplicates")
         points = tuple((bs, nbs) for bs in levels for nbs in levels)
 
-    return SimRequest(
-        kind=kind,
-        rows=rows,
-        cols=cols,
-        pattern=pattern,
-        precision=precision,
-        k_steps=k_steps,
-        seed=seed,
+    series = PointJob(
+        config=point_config(tile, precision, 0.0, 0.0, k_steps, seed),
+        machine=machine,
         metric=metric,
-        machine_spec=json.dumps(machine_spec, sort_keys=True),
-        points=points,
-        levels=levels,
         engine=engine,
         mechanism=mechanism,
     )
+    return SimRequest(kind=kind, series=series, points=points, levels=levels)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.core.config import machine_label
 from repro.experiments.executor import SimExecutor
-from repro.model.surface import machine_label
 from repro.obs import MetricsRegistry, log2_bucket
 from repro.obs.telemetry import ServeTelemetry, new_trace_id
 from repro.serve.schema import SERVE_SCHEMA_VERSION, SimRequest
@@ -525,9 +525,9 @@ class SimService:
                     trace_ids=owners[point],
                     point=list(point),
                     wall_s=round(walls[index], 6),
-                    engine=template.engine,
+                    engine=template.series.engine,
                 )
-        label = machine_label(template.machine())
+        label = machine_label(template.series.machine)
         for job in jobs:
             write_start = time.monotonic()
             payload = self._payload(job.request, job.key, order, values, label)
@@ -593,8 +593,8 @@ class SimService:
             "schema": SERVE_SCHEMA_VERSION,
             "key": key,
             "kind": request.kind,
-            "metric": request.metric,
-            "engine": request.engine,
+            "metric": request.series.metric,
+            "engine": request.series.engine,
             "label": label,
             "points": [list(point) for point in request.points],
             "values": [values[order[point]] for point in request.points],

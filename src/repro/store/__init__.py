@@ -4,9 +4,9 @@ Sweeps used to land as single surface JSONs — fine for a 10×10 grid,
 hopeless for the ROADMAP's million-point target.  This package shards
 sweep results into an **append-only columnar store**:
 
-* one fingerprint-keyed directory per sweep (identity =
-  kernel/machine/engine/metric/precision/k_steps/seed, addressed by
-  the same sha256 convention as serve fingerprints),
+* one fingerprint-keyed directory per sweep (identity = the canonical
+  series of the sweep's jobs, addressed by the same sha256
+  convention as serve fingerprints),
 * fixed-schema NPZ segments (:data:`repro.store.schema.SWEEP_COLUMNS`)
   published atomically via :mod:`repro.fsio` and referenced from a
   ``manifest.json``,
@@ -26,6 +26,7 @@ from repro.store.schema import (
     SWEEP_COLUMNS,
     SWEEP_META_FIELDS,
     sweep_fingerprint,
+    sweep_meta,
     validate_meta,
 )
 from repro.store.writer import DEFAULT_SEGMENT_ROWS, StoreError, SweepWriter
@@ -40,5 +41,6 @@ __all__ = [
     "SweepStore",
     "SweepWriter",
     "sweep_fingerprint",
+    "sweep_meta",
     "validate_meta",
 ]

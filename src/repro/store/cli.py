@@ -197,11 +197,10 @@ def query_main(argv: Optional[list[str]] = None) -> int:
         if args.list:
             for summary in store.describe():
                 state = "complete" if summary["complete"] else "INCOMPLETE"
-                mechanism = summary.get("mechanism", "save")
                 print(
                     f"{summary['fingerprint']}  {summary['kernel']}  "
                     f"{summary['machine']}  engine={summary['engine']}  "
-                    f"mechanism={mechanism}  "
+                    f"mechanism={summary['mechanism']}  "
                     f"metric={summary['metric']}  rows={summary['rows']}  "
                     f"{state}"
                 )

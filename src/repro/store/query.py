@@ -72,34 +72,29 @@ class SweepStore:
         """Yield matching point rows, segment by segment.
 
         Sweep-level filters are exact string matches on the manifest
-        identity; ``bs_range``/``nbs_range`` are inclusive bounds on
+        meta columns; ``bs_range``/``nbs_range`` are inclusive bounds on
         the per-point sparsity columns.  Rows come out in (sweep
         fingerprint, segment, row) order — deterministic for a given
-        store state.  Manifests written before the mechanism axis read
-        back as ``mechanism="save"``.
+        store state.
         """
+        filters = {
+            "kernel": kernel,
+            "machine": machine,
+            "engine": engine,
+            "mechanism": mechanism,
+            "metric": metric,
+        }
         for manifest in self.manifests():
             meta = manifest["meta"]
             if fingerprint is not None and manifest["fingerprint"] != fingerprint:
                 continue
-            if kernel is not None and meta.get("kernel") != kernel:
-                continue
-            if machine is not None and meta.get("machine") != machine:
-                continue
-            if engine is not None and meta.get("engine") != engine:
-                continue
-            if mechanism is not None and meta.get("mechanism", "save") != mechanism:
-                continue
-            if metric is not None and meta.get("metric") != metric:
+            if any(
+                value is not None and meta[name] != value
+                for name, value in filters.items()
+            ):
                 continue
             sweep_dir = self.root / manifest["fingerprint"]
-            identity = {
-                "kernel": meta.get("kernel"),
-                "machine": meta.get("machine"),
-                "engine": meta.get("engine"),
-                "mechanism": meta.get("mechanism", "save"),
-                "metric": meta.get("metric"),
-            }
+            identity = {name: meta[name] for name in filters}
             for entry in manifest["segments"]:
                 path = sweep_dir / entry["file"]
                 with np.load(path) as segment:
@@ -170,12 +165,8 @@ class SweepStore:
                 acc[1] += value
                 acc[2] = min(acc[2], value)
                 acc[3] = max(acc[3], value)
-        try:
-            ordered = sorted(groups)
-        except TypeError:  # mixed-type keys (e.g. None from old manifests)
-            ordered = sorted(groups, key=lambda k: tuple(map(str, k)))
         out = []
-        for key in ordered:
+        for key in sorted(groups):
             count, total, low, high = groups[key]
             if reduce == "count":
                 value = float(count)

@@ -18,7 +18,7 @@ import io
 import json
 from pathlib import Path
 from types import TracebackType
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 import numpy as np
 
@@ -27,8 +27,12 @@ from repro.store.schema import (
     STORE_SCHEMA_VERSION,
     SWEEP_COLUMNS,
     sweep_fingerprint,
+    sweep_meta,
     validate_meta,
 )
+
+if TYPE_CHECKING:
+    from repro.experiments.executor import PointJob
 
 __all__ = ["SweepWriter", "StoreError"]
 
@@ -46,7 +50,7 @@ def _manifest_path(sweep_dir: Path) -> Path:
 
 
 def read_manifest(sweep_dir: Path) -> dict[str, Any]:
-    """Load and version-check one sweep's manifest."""
+    """Load one sweep's manifest; check its version and meta columns."""
     payload = json.loads(_manifest_path(sweep_dir).read_text())
     version = payload.get("schema")
     if version != STORE_SCHEMA_VERSION:
@@ -54,6 +58,10 @@ def read_manifest(sweep_dir: Path) -> dict[str, Any]:
             f"{sweep_dir}: store schema {version!r} != "
             f"supported {STORE_SCHEMA_VERSION}"
         )
+    try:
+        validate_meta(payload["meta"])
+    except ValueError as error:
+        raise StoreError(f"{sweep_dir}: {error}") from None
     return payload
 
 
@@ -63,8 +71,8 @@ class SweepWriter:
     Args:
         root: store root directory (created on demand); each sweep
             lives in ``root/<fingerprint>/``.
-        meta: the sweep identity (``SWEEP_META_FIELDS``) — kernel,
-            machine, engine, metric, precision, k_steps, seed.
+        series: any job of the sweep; its canonical series is the
+            sweep's identity and its sparsity levels are ignored.
         segment_rows: points buffered per published segment.
         overwrite: if the sweep already exists, discard it and start
             fresh instead of raising (append-only stores never silently
@@ -77,15 +85,15 @@ class SweepWriter:
     def __init__(
         self,
         root: Union[str, Path],
-        meta: dict[str, Any],
+        series: PointJob,
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
         overwrite: bool = False,
     ) -> None:
         if segment_rows <= 0:
             raise ValueError("segment_rows must be positive")
         self.root = Path(root)
-        self.meta = validate_meta(meta)
-        self.fingerprint = sweep_fingerprint(self.meta)
+        self.meta = sweep_meta(series)
+        self.fingerprint = sweep_fingerprint(series)
         self.segment_rows = segment_rows
         self.sweep_dir = self.root / self.fingerprint
         self.sweep_dir.mkdir(parents=True, exist_ok=True)

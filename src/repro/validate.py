@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import MachineConfig
+from repro.core.config import MachineConfig, machine_label
 from repro.core.pipeline import SimResult, simulate
 from repro.isa.registers import ArchState
 from repro.kernels.trace import KernelTrace
@@ -68,8 +68,6 @@ def check_transparency(
     Returns a report rather than raising, so sweeps can collect
     failures; call :meth:`TransparencyReport.raise_if_failed` to assert.
     """
-    from repro.model.surface import machine_label
-
     reference = trace.reference_result()
     result = simulate(trace, machine, warm_level=warm_level)
     mismatches = compare_states(reference, result.final_state)

@@ -148,6 +148,6 @@ def test_closure_submit_flagged(tmp_path):
     assert "locally-defined local()" in diags[0].message
 
 
-def test_real_tree_boundary_rule_is_clean():
-    result = run_checks(SRC, rule_ids=["process-boundary"])
+def test_real_tree_boundary_rule_is_clean(src_cache):
+    result = run_checks(SRC, rule_ids=["process-boundary"], cache_dir=src_cache)
     assert _boundary(result) == []

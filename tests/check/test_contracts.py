@@ -127,6 +127,6 @@ def test_committed_snapshot_matches_the_tree():
     )
 
 
-def test_real_tree_contract_rule_is_clean():
-    result = run_checks(SRC, rule_ids=["contract-version"])
+def test_real_tree_contract_rule_is_clean(src_cache):
+    result = run_checks(SRC, rule_ids=["contract-version"], cache_dir=src_cache)
     assert _contract(result) == []

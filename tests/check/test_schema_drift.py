@@ -77,7 +77,7 @@ def test_no_schema_file_no_drift_checks(tmp_path):
     assert result.ok
 
 
-def test_real_tree_cross_checks_hold():
+def test_real_tree_cross_checks_hold(src_cache):
     # The repo itself must satisfy both directions: every event in
     # repro.obs.trace.EVENT_FIELDS is emitted by the simulator and
     # every consumed event/metric resolves.  This is the acceptance
@@ -85,7 +85,7 @@ def test_real_tree_cross_checks_hold():
     from pathlib import Path
 
     src = Path(__file__).resolve().parents[2] / "src"
-    result = run_checks(src, rule_ids=["schema-drift"])
+    result = run_checks(src, rule_ids=["schema-drift"], cache_dir=src_cache)
     assert result.ok, [d.format() for d in result.diagnostics]
 
 

@@ -35,8 +35,8 @@ def _rewrite(path, old, new):
     path.write_text(text.replace(old, new))
 
 
-def test_clean_tree_passes_the_telemetry_checks():
-    result = run_checks(SRC, rule_ids=["schema-drift"])
+def test_clean_tree_passes_the_telemetry_checks(src_cache):
+    result = run_checks(SRC, rule_ids=["schema-drift"], cache_dir=src_cache)
     assert result.ok, [d.format() for d in result.diagnostics]
 
 

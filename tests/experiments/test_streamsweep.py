@@ -47,6 +47,32 @@ class TestStreamSweep:
             expected = simulate_config(config, SAVE_2VPU, "fast").time_ns
             assert row["value"] == pytest.approx(expected)
 
+    def test_machine_variants_are_separate_sweeps(self, tmp_path):
+        # Same display label, different machines: two sweeps, each
+        # holding its own machine's values.
+        variant = SAVE_2VPU.with_core(issue_width=4)
+        spec = get_kernel("resnet2_2_fwd")
+        fingerprints = {}
+        for machine in (SAVE_2VPU, variant):
+            summary = stream_sweep(
+                spec, machine, LEVELS, LEVELS, tmp_path,
+                engine="fast", metric="time_ns", k_steps=6,
+            )
+            fingerprints[machine] = summary["fingerprint"]
+        assert len(set(fingerprints.values())) == 2
+        store = SweepStore(tmp_path)
+        for machine, fingerprint in fingerprints.items():
+            rows = list(store.query(fingerprint=fingerprint))
+            assert len(rows) == len(LEVELS) ** 2
+            for row in rows:
+                config = spec.config(
+                    broadcast_sparsity=row["bs"],
+                    nonbroadcast_sparsity=row["nbs"],
+                    k_steps=6,
+                )
+                expected = simulate_config(config, machine, "fast").time_ns
+                assert row["value"] == expected
+
     def test_batch_size_does_not_change_rows(self, tmp_path):
         kwargs = dict(engine="fast", metric="time_ns", k_steps=6)
         stream_sweep(

@@ -101,6 +101,18 @@ class TestSurfaceStore:
         store.get(TILE, Precision.FP32, BASELINE_2VPU, levels=(0.0,), k_steps=4)
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    def test_machine_variant_gets_its_own_surface(self, tmp_path):
+        # The two machines share a display label; the cache key must
+        # still tell them apart.
+        variant = SAVE_2VPU.with_core(issue_width=4)
+        assert machine_label(variant) == machine_label(SAVE_2VPU)
+        store = SurfaceStore(tmp_path)
+        kwargs = dict(levels=(0.0, 0.5), k_steps=8)
+        store.get(TILE, Precision.FP32, SAVE_2VPU, **kwargs)
+        cached = store.get(TILE, Precision.FP32, variant, **kwargs)
+        fresh = SparsitySurface.build(TILE, Precision.FP32, variant, **kwargs)
+        assert np.array_equal(cached.ns_per_fma, fresh.ns_per_fma)
+
     def test_memory_cache(self, tmp_path):
         store = SurfaceStore(tmp_path)
         a = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)

@@ -1,10 +1,16 @@
 """Mechanism isolation: no cache/store identity is shared across
 mechanisms, anywhere results are keyed by content address."""
 
+import json
+
 import pytest
 
+from repro.core.config import SAVE_2VPU
+from repro.experiments.executor import PointJob
+from repro.kernels.library import get_kernel
 from repro.serve.schema import RequestError, parse_request
-from repro.store.schema import sweep_fingerprint, validate_meta
+from repro.store import StoreError, SweepStore, SweepWriter
+from repro.store.schema import sweep_fingerprint
 
 
 def serve_body(**overrides):
@@ -18,19 +24,13 @@ def serve_body(**overrides):
     return body
 
 
-def store_meta(**overrides):
-    meta = {
-        "kernel": "nm24_fwd",
-        "machine": "save-2vpu@1.7",
-        "engine": "exact",
-        "mechanism": "save",
-        "metric": "time_ns",
-        "precision": "fp32",
-        "k_steps": 8,
-        "seed": 0,
-    }
-    meta.update(overrides)
-    return meta
+def store_series(mechanism):
+    return PointJob(
+        config=get_kernel("nm24_fwd").config(k_steps=8),
+        machine=SAVE_2VPU,
+        engine="exact",
+        mechanism=mechanism,
+    )
 
 
 class TestServeFingerprints:
@@ -64,20 +64,17 @@ class TestServeFingerprints:
 class TestStoreFingerprints:
     def test_mechanisms_never_share_a_sweep_key(self):
         prints = {
-            mechanism: sweep_fingerprint(store_meta(mechanism=mechanism))
+            mechanism: sweep_fingerprint(store_series(mechanism))
             for mechanism in ("save", "sparce", "indexmac")
         }
         assert len(set(prints.values())) == 3
 
-    def test_legacy_meta_maps_to_save(self):
-        legacy = store_meta()
-        del legacy["mechanism"]
-        assert sweep_fingerprint(legacy) == sweep_fingerprint(store_meta())
-        assert sweep_fingerprint(legacy) != sweep_fingerprint(
-            store_meta(mechanism="sparce")
-        )
-
-    def test_validate_meta_defaults_mechanism(self):
-        legacy = store_meta()
-        del legacy["mechanism"]
-        assert validate_meta(legacy)["mechanism"] == "save"
+    def test_manifest_without_mechanism_refused(self, tmp_path):
+        with SweepWriter(tmp_path, store_series("sparce")) as writer:
+            writer.append(0.0, 0.0, 1.0)
+        path = tmp_path / writer.fingerprint / "manifest.json"
+        payload = json.loads(path.read_text())
+        del payload["meta"]["mechanism"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match="missing fields: mechanism"):
+            SweepStore(tmp_path).count(mechanism="save")

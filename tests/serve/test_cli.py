@@ -34,7 +34,8 @@ class TestBuildRequest:
     def test_point_round_trips_through_parse(self):
         request = parse_request(build_request(submit_args()))
         assert request.points == ((0.3, 0.6),)
-        assert request.rows == 2 and request.cols == 2
+        tile = request.series.config.tile
+        assert tile.rows == 2 and tile.col_vectors == 2
 
     def test_sweep(self):
         request = parse_request(
@@ -45,7 +46,7 @@ class TestBuildRequest:
 
     def test_engine_flag_round_trips(self):
         request = parse_request(build_request(submit_args(engine="fast")))
-        assert request.engine == "fast"
+        assert request.series.engine == "fast"
 
     @pytest.mark.parametrize(
         "overrides",

@@ -26,7 +26,7 @@ class TestBuildRequests:
     def test_every_request_parses(self, mix):
         for request in build_requests(mix, 8):
             parsed = parse_request(request)
-            assert parsed.engine == "fast"
+            assert parsed.series.engine == "fast"
 
     def test_hot_mix_cycles_a_tiny_working_set(self):
         requests = build_requests("hot", 16)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import CoalescingScheme, SAVE_2VPU
 from repro.kernels.tiling import BroadcastPattern, Precision
+from repro.serve import schema
 from repro.serve.schema import (
     SERVE_SCHEMA_VERSION,
     RequestError,
@@ -26,9 +27,9 @@ class TestParsing:
     def test_point_defaults(self):
         request = parse_request(point_body())
         assert request.kind == "point"
-        assert request.pattern == BroadcastPattern.EXPLICIT
-        assert request.precision == Precision.FP32
-        assert request.metric == "ns_per_fma"
+        assert request.series.config.tile.pattern == BroadcastPattern.EXPLICIT
+        assert request.series.config.precision == Precision.FP32
+        assert request.series.metric == "ns_per_fma"
         assert request.points == ((0.3, 0.6),)
         assert request.levels is None
 
@@ -60,7 +61,7 @@ class TestParsing:
                 }
             )
         )
-        machine = request.machine()
+        machine = request.series.machine
         assert machine.save.coalescing == CoalescingScheme.VERTICAL
         assert machine.save.lane_wise_dependence is False
         assert machine.core.num_vpus == 1
@@ -68,7 +69,7 @@ class TestParsing:
     def test_default_machine_is_save(self):
         body = point_body()
         del body["machine"]
-        assert parse_request(body).machine() == SAVE_2VPU
+        assert parse_request(body).series.machine == SAVE_2VPU
 
     def test_jobs_one_per_point(self):
         request = parse_request(
@@ -141,10 +142,23 @@ class TestFingerprints:
         c = parse_request(point_body(machine={"preset": "baseline"}))
         assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
 
-    def test_schema_version_in_canonical(self):
-        assert parse_request(point_body()).canonical()["schema"] == (
-            SERVE_SCHEMA_VERSION
+    def test_same_machine_named_two_ways_shares_a_fingerprint(self):
+        preset = parse_request(point_body(machine={"preset": "save"}))
+        overridden = parse_request(
+            point_body(
+                machine={"preset": "baseline", "save": {"enabled": True}}
+            )
         )
+        assert preset.fingerprint() == overridden.fingerprint()
+        assert preset.batch_key() == overridden.batch_key()
+        assert preset.series.machine == overridden.series.machine
+
+    def test_schema_version_in_canonical(self, monkeypatch):
+        before = parse_request(point_body()).fingerprint()
+        monkeypatch.setattr(
+            schema, "SERVE_SCHEMA_VERSION", SERVE_SCHEMA_VERSION + 1
+        )
+        assert parse_request(point_body()).fingerprint() != before
 
     def test_engine_tiers_never_share_a_fingerprint(self):
         # The identical point on different engine tiers must not
@@ -157,8 +171,8 @@ class TestFingerprints:
             exact.fingerprint(), fast.fingerprint(), analytic.fingerprint()
         }
         assert len(prints) == 3
-        assert exact.engine == "exact"  # the default tier
-        assert fast.canonical()["engine"] == "fast"
+        assert exact.series.engine == "exact"  # the default tier
+        assert fast.series.canonical_series()["engine"] == "fast"
 
     def test_engine_reaches_point_jobs(self):
         jobs = parse_request(point_body(engine="fast")).jobs()

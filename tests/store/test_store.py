@@ -2,9 +2,14 @@
 
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
+from repro.core.config import BASELINE_2VPU, SAVE_2VPU, machine_label
+from repro.experiments.executor import PointJob
+from repro.kernels.library import get_kernel
+from repro.kernels.tiling import Precision
 from repro.store import (
     QUERY_FIELDS,
     STORE_SCHEMA_VERSION,
@@ -14,27 +19,28 @@ from repro.store import (
     SweepStore,
     SweepWriter,
     sweep_fingerprint,
+    sweep_meta,
     validate_meta,
 )
 from repro.store.writer import read_manifest
 
+CONFIG = get_kernel("resnet2_2_fwd").config(precision=Precision.FP32, k_steps=8)
 
-def meta(**overrides):
-    base = {
-        "kernel": "resnet2_2_fwd",
-        "machine": "save-2vpu@1.7",
+
+def job(**overrides):
+    """A sweep's series job; overrides replace PointJob fields."""
+    fields = {
+        "config": CONFIG,
+        "machine": SAVE_2VPU,
         "engine": "fast",
         "metric": "time_ns",
-        "precision": "fp32",
-        "k_steps": 8,
-        "seed": 0,
     }
-    base.update(overrides)
-    return base
+    fields.update(overrides)
+    return PointJob(**fields)
 
 
-def write_points(root, points, m=None, **writer_kwargs):
-    with SweepWriter(root, m or meta(), **writer_kwargs) as writer:
+def write_points(root, points, series=None, **writer_kwargs):
+    with SweepWriter(root, series or job(), **writer_kwargs) as writer:
         for bs, nbs, value in points:
             writer.append(bs, nbs, value)
     return writer
@@ -45,24 +51,35 @@ POINTS = [(0.0, 0.0, 10.0), (0.0, 0.5, 8.0), (0.5, 0.0, 6.5), (0.5, 0.5, 4.0)]
 
 class TestSchema:
     def test_fingerprint_deterministic(self):
-        assert sweep_fingerprint(meta()) == sweep_fingerprint(meta())
-        assert len(sweep_fingerprint(meta())) == 24
+        assert sweep_fingerprint(job()) == sweep_fingerprint(job())
+        assert len(sweep_fingerprint(job())) == 24
 
     def test_fingerprint_covers_every_meta_field(self):
-        base = sweep_fingerprint(meta())
+        variants = {
+            "kernel": job(config=replace(CONFIG, name="other")),
+            "machine": job(machine=BASELINE_2VPU),
+            "engine": job(engine="exact"),
+            "mechanism": job(mechanism="sparce"),
+            "metric": job(metric="ns_per_fma"),
+            "precision": job(config=replace(CONFIG, precision=Precision.MIXED)),
+            "k_steps": job(config=replace(CONFIG, k_steps=9)),
+            "seed": job(config=replace(CONFIG, seed=99)),
+        }
+        base = job()
         for field in SWEEP_META_FIELDS:
-            changed = meta(**{field: "other" if field != "seed" else 99})
-            assert sweep_fingerprint(changed) != base, field
+            changed = variants[field]
+            assert sweep_meta(changed)[field] != sweep_meta(base)[field], field
+            assert sweep_fingerprint(changed) != sweep_fingerprint(base), field
 
     def test_validate_meta_missing_field(self):
-        incomplete = meta()
+        incomplete = sweep_meta(job())
         del incomplete["seed"]
         with pytest.raises(ValueError, match="missing fields: seed"):
             validate_meta(incomplete)
 
     def test_validate_meta_unknown_field(self):
         with pytest.raises(ValueError, match="unknown fields: extra"):
-            validate_meta(meta(extra=1))
+            validate_meta({**sweep_meta(job()), "extra": 1})
 
     def test_query_fields_cover_columns_and_identity(self):
         assert set(SWEEP_COLUMNS) <= set(QUERY_FIELDS)
@@ -87,7 +104,7 @@ class TestWriter:
 
     def test_exception_leaves_sweep_incomplete(self, tmp_path):
         with pytest.raises(RuntimeError, match="boom"):
-            with SweepWriter(tmp_path, meta()) as writer:
+            with SweepWriter(tmp_path, job()) as writer:
                 writer.append(0.1, 0.2, 3.0)
                 raise RuntimeError("boom")
         manifest = read_manifest(tmp_path / writer.fingerprint)
@@ -105,7 +122,7 @@ class TestWriter:
     def test_existing_sweep_refused_without_overwrite(self, tmp_path):
         write_points(tmp_path, POINTS)
         with pytest.raises(StoreError, match="already exists"):
-            SweepWriter(tmp_path, meta())
+            SweepWriter(tmp_path, job())
 
     def test_overwrite_replaces_previous_run(self, tmp_path):
         write_points(tmp_path, POINTS, segment_rows=2)
@@ -119,7 +136,7 @@ class TestWriter:
 
     def test_append_batch_matches_append(self, tmp_path):
         write_points(tmp_path / "one", POINTS)
-        with SweepWriter(tmp_path / "two", meta()) as writer:
+        with SweepWriter(tmp_path / "two", job()) as writer:
             writer.append_batch(
                 [p[0] for p in POINTS],
                 [p[1] for p in POINTS],
@@ -130,7 +147,7 @@ class TestWriter:
         )
 
     def test_append_batch_rejects_ragged_columns(self, tmp_path):
-        with SweepWriter(tmp_path, meta()) as writer:
+        with SweepWriter(tmp_path, job()) as writer:
             with pytest.raises(ValueError, match="equal lengths"):
                 writer.append_batch([0.1], [0.2, 0.3], [1.0])
 
@@ -143,10 +160,21 @@ class TestWriter:
         writer = write_points(tmp_path, POINTS)
         manifest_path = tmp_path / writer.fingerprint / "manifest.json"
         payload = json.loads(manifest_path.read_text())
-        payload["schema"] = STORE_SCHEMA_VERSION + 1
-        manifest_path.write_text(json.dumps(payload))
-        with pytest.raises(StoreError, match="store schema"):
-            list(SweepStore(tmp_path).query())
+        # A newer layout, and a v1 manifest from before the mechanism
+        # column existed: both are refused, never read with defaults.
+        pre_mechanism = {
+            key: value for key, value in payload["meta"].items()
+            if key != "mechanism"
+        }
+        for schema, meta in (
+            (STORE_SCHEMA_VERSION + 1, payload["meta"]),
+            (1, pre_mechanism),
+        ):
+            manifest_path.write_text(
+                json.dumps({**payload, "schema": schema, "meta": meta})
+            )
+            with pytest.raises(StoreError, match="store schema"):
+                list(SweepStore(tmp_path).query())
 
 
 class TestQuery:
@@ -156,7 +184,7 @@ class TestQuery:
         write_points(
             tmp_path,
             [(0.3, 0.3, 99.0)],
-            meta(machine="baseline-2vpu@1.7", engine="exact"),
+            job(machine=BASELINE_2VPU, engine="exact"),
         )
         return SweepStore(tmp_path)
 
@@ -172,7 +200,7 @@ class TestQuery:
         assert store.count(engine="fast", bs_range=(0.4, 1.0)) == 2
 
     def test_fingerprint_filter(self, store):
-        fingerprint = sweep_fingerprint(meta())
+        fingerprint = sweep_fingerprint(job())
         assert store.count(fingerprint=fingerprint) == len(POINTS)
 
     def test_describe_lists_both_sweeps(self, store):
@@ -194,7 +222,7 @@ class TestAggregate:
         write_points(
             tmp_path,
             [(0.0, 0.0, 20.0), (0.5, 0.5, 2.0)],
-            meta(mechanism="sparce"),
+            job(mechanism="sparce"),
         )
         return SweepStore(tmp_path)
 
@@ -257,7 +285,8 @@ class TestExport:
         assert lines[0] == ",".join(QUERY_FIELDS)
         assert count == len(POINTS)
         assert len(lines) == len(POINTS) + 1
-        assert lines[1].startswith("resnet2_2_fwd,save-2vpu@1.7,fast,save,time_ns,")
+        label = machine_label(SAVE_2VPU)
+        assert lines[1].startswith(f"resnet2_2_fwd,{label},fast,save,time_ns,")
 
     def test_json_field_order(self, tmp_path):
         write_points(tmp_path, POINTS)
