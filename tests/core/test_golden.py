@@ -10,6 +10,11 @@ counter plus the final vector registers:
   dependence model, mixed-precision technique and B$ design
   (``machine_variants()`` of the fast tier's golden test), at two
   interior sparsity pairs;
+* the mixed-precision kernels at a deeper ``k_steps`` on horizontal
+  compression with lane-wise dependences and no MP technique, at
+  points where the horizontal queue's same-``seq`` tiebreak (the order
+  in which one µop's lanes became ready) decides which op a lane
+  joins: ascending lane order instead moves ``cycles`` there;
 * the instrumented ``SimResult.metrics`` snapshot (wait histograms,
   lane-occupancy distributions, ``lwd_stalls`` ...) of every kernel on
   the three machines and of the mixed-precision kernels on every
@@ -53,6 +58,8 @@ LEVELS = (0.0, 0.5, 1.0)
 K_STEPS = 4
 VARIANT_POINTS = ((0.3, 0.6), (0.6, 0.3))
 METRICS_POINT = (0.4, 0.5)
+TIEBREAK_K_STEPS = 16
+TIEBREAK_POINTS = ((0.4, 0.5), (0.7, 0.4), (0.1, 0.7), (0.6, 0.5))
 #: Fields left out of the counter digest: identity labels, the metrics
 #: snapshot (digested separately) and the state object.
 _NOT_COUNTERS = {"name", "metrics", "final_state", "engine", "mechanism"}
@@ -60,12 +67,18 @@ COUNTERS = tuple(f.name for f in fields(SimResult) if f.name not in _NOT_COUNTER
 
 
 def run(
-    kernel: str, bs: float, nbs: float, machine, obs=None, masks: bool = False
+    kernel: str,
+    bs: float,
+    nbs: float,
+    machine,
+    obs=None,
+    masks: bool = False,
+    k_steps: int = K_STEPS,
 ) -> SimResult:
     config = KERNEL_LIBRARY[kernel].config(
         broadcast_sparsity=bs,
         nonbroadcast_sparsity=nbs,
-        k_steps=K_STEPS,
+        k_steps=k_steps,
         use_write_masks=masks,
     )
     return simulate(trace_stream(config), machine, obs=obs)
@@ -112,6 +125,21 @@ def variant_digest(variant: str) -> str:
     )
 
 
+def tiebreak_variants() -> list[str]:
+    return [name for name in machine_variants() if name.startswith("hc|lwd=True|mp=False|")]
+
+
+def tiebreak_digest(variant: str) -> str:
+    machine = machine_variants()[variant]
+    return digest(
+        [
+            result_record(run(kernel, bs, nbs, machine, k_steps=TIEBREAK_K_STEPS))
+            for kernel in mixed_kernels()
+            for bs, nbs in TIEBREAK_POINTS
+        ]
+    )
+
+
 def metrics_digest(kernel: str, machine) -> str:
     result = run(kernel, *METRICS_POINT, machine, obs=Instrumentation())
     return digest([result_record(result), result.metrics])
@@ -138,6 +166,7 @@ def _golden() -> dict[str, str]:
 def test_golden_covers_every_case():
     names = [f"grid|{k}|{m}" for k, m in grid_cases()]
     names += [f"variant|{v}" for v in machine_variants()]
+    names += [f"tiebreak|{v}" for v in tiebreak_variants()]
     names += [f"metrics|{k}|{m}" for k, m in metrics_cases()]
     assert sorted(_golden()) == sorted(names)
 
@@ -156,6 +185,11 @@ def test_machine_variant_matches_golden(variant):
     assert variant_digest(variant) == _golden()[f"variant|{variant}"]
 
 
+@pytest.mark.parametrize("variant", tiebreak_variants())
+def test_horizontal_tiebreak_matches_golden(variant):
+    assert tiebreak_digest(variant) == _golden()[f"tiebreak|{variant}"]
+
+
 @pytest.mark.parametrize("kernel,machine", metrics_cases())
 def test_metrics_snapshot_matches_golden(kernel, machine):
     assert (
@@ -167,6 +201,7 @@ def test_metrics_snapshot_matches_golden(kernel, machine):
 def _write() -> None:
     golden = {f"grid|{k}|{m}": grid_digest(k, m) for k, m in grid_cases()}
     golden.update({f"variant|{v}": variant_digest(v) for v in machine_variants()})
+    golden.update({f"tiebreak|{v}": tiebreak_digest(v) for v in tiebreak_variants()})
     golden.update(
         {
             f"metrics|{k}|{m}": metrics_digest(k, metrics_machine(m))
