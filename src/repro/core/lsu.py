@@ -39,9 +39,6 @@ class MemRequest:
     operand: MemOperand
     role: str  # "a" | "b" | "load" | "store"
     enqueue_cycle: int
-    #: Set when a B$ probe already ran and deferred to the L1 queue.
-    b_cache_probed: bool = False
-    b_cache_latency: int = 0
 
     @property
     def is_broadcast(self) -> bool:
@@ -168,9 +165,7 @@ class LoadStoreUnit:
                         latency = self.hierarchy.access(request.operand.addr)
                         completions.append((cycle + latency, request))
                     else:
-                        # Defer data fetch to the L1 queue; don't re-probe.
-                        request.b_cache_probed = True
-                        request.b_cache_latency = self.hierarchy.config.l1_latency
+                        # Defer the data fetch to the L1 queue.
                         self._l1_queue.append(request)
                 else:
                     self.stats.b_cache_serviced += 1

@@ -58,11 +58,11 @@ from repro.core.save.window import (
 from repro.core.vpu import (
     TempOp,
     TempOpKind,
-    compute_chain_slot,
-    compute_lane,
+    compute_chain_slots,
+    compute_lanes,
     compute_whole,
 )
-from repro.isa.datatypes import FP32_LANES
+from repro.isa.datatypes import FP32_LANES, FULL_LANE_MASK, lanes_of, popcount
 from repro.isa.registers import ArchState
 from repro.isa.uops import RegOperand, Uop, UopKind
 from repro.kernels.stream import TraceStream
@@ -138,6 +138,10 @@ class SimResult:
     def speedup_over(self, other: SimResult) -> float:
         """Wall-clock speedup of this run relative to ``other``."""
         return other.time_ns / self.time_ns
+
+
+#: µop kinds that never occupy a reservation station.
+_NO_RS = (UopKind.VZERO, UopKind.KMOV)
 
 
 class PipelineSimulator:
@@ -236,7 +240,9 @@ class PipelineSimulator:
         self._vpu_events: dict[int, list[TempOp]] = {}
         self._load_events: dict[int, list[MemRequest]] = {}
         self._scalar_events: dict[int, list[DynUop]] = {}
-        self._worklist: deque[tuple[str, DynUop, int]] = deque()
+        #: Completions awaiting wake-up: ``(µop, lanes)``.  A non-zero
+        #: lane word reports those lanes done; 0 the whole µop.
+        self._worklist: deque[tuple[DynUop, int]] = deque()
 
         # Stats.
         self.cycle = 0
@@ -413,9 +419,6 @@ class PipelineSimulator:
     # Allocation / rename
     # ------------------------------------------------------------------
 
-    def _needs_rs(self, uop: Uop) -> bool:
-        return uop.kind not in (UopKind.VZERO, UopKind.KMOV)
-
     def _allocate(self, cycle: int) -> None:
         budget = self.config.core.issue_width
         pending = self._pending
@@ -424,7 +427,7 @@ class PipelineSimulator:
                 self.stall_rob_cycles += 1
                 return
             uop = pending[0]
-            if self._needs_rs(uop) and self.rs_count >= self.config.core.rs_entries:
+            if uop.kind not in _NO_RS and self.rs_count >= self.config.core.rs_entries:
                 self.stall_rs_cycles += 1
                 return
             pending.popleft()
@@ -497,7 +500,7 @@ class PipelineSimulator:
                     value = self.init_state.read_vreg(operand.reg)
                     self._set_mult_value(dyn, role, value)
                 elif src.completed:
-                    self._set_mult_value(dyn, role, src.out)
+                    self._set_mult_value(dyn, role, src.out, src.value_words())
                 else:
                     src.consumers.append((dyn, role))
             else:
@@ -516,11 +519,13 @@ class PipelineSimulator:
         self._check_fma_progress(dyn)
 
     @staticmethod
-    def _set_mult_value(dyn: DynUop, role: str, value: np.ndarray) -> None:
+    def _set_mult_value(
+        dyn: DynUop, role: str, value: np.ndarray, words: Optional[list[int]] = None
+    ) -> None:
         if role == ROLE_A:
-            dyn.a_value = np.asarray(value, dtype=np.float32)
+            dyn.a_value, dyn.a_words = np.asarray(value, dtype=np.float32), words
         else:
-            dyn.b_value = np.asarray(value, dtype=np.float32)
+            dyn.b_value, dyn.b_words = np.asarray(value, dtype=np.float32), words
 
     # ------------------------------------------------------------------
     # Readiness plumbing
@@ -554,14 +559,14 @@ class PipelineSimulator:
             # Strawman: no cross-instruction combining.  BS-skipped µops
             # pass through; anything else issues as a whole VFMA.
             if dyn.elm == 0:
-                self._dispatch_all_lanes(dyn)
+                self._dispatch(dyn, FULL_LANE_MASK)
             else:
                 self._try_queue_naive(dyn)
             return
         if dyn.mixed and self.mp_technique:
             self._try_append_chain(dyn)
             return
-        self._dispatch_all_lanes(dyn)
+        self._dispatch(dyn, FULL_LANE_MASK)
 
     def _try_queue_naive(self, dyn: DynUop) -> None:
         """Queue a whole VFMA in the strawman scheme (vector-wise deps)."""
@@ -570,62 +575,80 @@ class PipelineSimulator:
         if not dyn.acc_fully_available():
             return
         dyn.baseline_queued = True
-        self.effectual_lanes += bin(dyn.elm).count("1")
-        self.pass_through_lanes += FP32_LANES - bin(dyn.elm).count("1")
+        effectual = popcount(dyn.elm)
+        self.effectual_lanes += effectual
+        self.pass_through_lanes += FP32_LANES - effectual
         self._cw_enter(dyn)
         self.baseline_sched.insert(dyn.seq, dyn)
 
-    def _dispatch_all_lanes(self, dyn: DynUop) -> None:
-        try_dispatch = self._try_dispatch_lane
-        for lane in range(FP32_LANES):
-            try_dispatch(dyn, lane)
+    def _dispatch(self, dyn: DynUop, lanes: int) -> None:
+        """Dispatch the ``lanes`` word of ``dyn`` that can go now.
 
-    def _try_dispatch_lane(self, dyn: DynUop, lane: int) -> None:
-        """Dispatch one lane: pass-through or queue for a VPU slot."""
-        bit = 1 << lane
-        if dyn.lanes_dispatched_mask & bit or not dyn.active:
-            return
-        if self._naive and dyn.elm:
+        Effectual lanes queue for a VPU slot; ineffectual (or masked)
+        lanes pass the accumulator value through with no VPU work.
+        Lanes already dispatched, and lanes whose accumulator input
+        is not ready, are left for a later call.
+        """
+        if not dyn.active or (self._naive and dyn.elm):
             # Strawman: non-skipped µops issue whole, never lane-wise.
             return
         mixed_mp = dyn.mixed and self.mp_technique
-        # Only pass-through lanes reach here in MP-technique mode.
-        if mixed_mp and dyn.ml_effectual[lane]:
+        lanes &= ~dyn.lanes_dispatched_mask
+        if mixed_mp:
+            # Effectual lanes go through the accumulator chain.
+            lanes &= ~dyn.elm
+        if not lanes:
             return
         if self.lwd or mixed_mp:
-            if not dyn.acc_lane_available(lane):
-                # LWD lane-order stall: the lane attempted dispatch but
-                # its accumulator input lane has not completed yet.
+            # LWD lane-order stall: a lane whose accumulator input lane
+            # has not completed yet waits.
+            blocked = lanes & ~dyn.acc_lanes()
+            if blocked:
+                lanes ^= blocked
                 if self.obs is not None:
-                    self.obs.metrics.counter("lwd_stalls").inc()
+                    self.obs.metrics.counter("lwd_stalls").inc(popcount(blocked))
                     if self._tracing:
-                        self.obs.emit(
-                            self.cycle, "lwd_stall", seq=dyn.seq, lane=lane
-                        )
-                return
+                        for lane in lanes_of(blocked):
+                            self.obs.emit(self.cycle, "lwd_stall", seq=dyn.seq, lane=lane)
+                if not lanes:
+                    return
         elif not dyn.acc_fully_available():
             return
 
-        dyn.lanes_dispatched_mask |= bit
-        if dyn.elm & bit and not mixed_mp:
-            self.effectual_lanes += 1
-            dyn.queued_lanes += 1
+        dyn.lanes_dispatched_mask |= lanes
+        effectual = 0 if mixed_mp else lanes & dyn.elm
+        if effectual:
+            count = popcount(effectual)
+            self.effectual_lanes += count
+            dyn.queued_lanes += count
             self._cw_enter(dyn)
+            seq = dyn.seq
             if self._horizontal:
-                self.horizontal_sched.insert(dyn.seq, (dyn, lane))
+                insert = self.horizontal_sched.insert
+                for lane in lanes_of(effectual):
+                    insert(seq, (dyn, lane))
             else:
-                slot = slot_for_lane(lane, dyn.rotation)
-                self.slot_sched.insert(slot, dyn.seq, (dyn, lane))
-        else:
-            # Ineffectual (or masked) lane: the accumulator value passes
-            # through unchanged, with no VPU work.
-            self.pass_through_lanes += 1
-            value = dyn.acc_lane_value(lane)
-            completed = dyn.mark_lane_done(lane, value)
-            self._worklist.append(("lane", dyn, lane))
-            if completed:
-                self._worklist.append(("full", dyn, -1))
+                insert = self.slot_sched.insert
+                rotation = dyn.rotation
+                for lane in lanes_of(effectual):
+                    insert((lane + rotation) % FP32_LANES, seq, (dyn, lane))
+        through = lanes ^ effectual
+        if through:
+            self.pass_through_lanes += popcount(through)
+            self._finish_lanes(dyn, through, dyn.acc_vector())
         self._maybe_free_rs(dyn)
+
+    def _maybe_free_rs(self, dyn: DynUop) -> None:
+        if not dyn.rs_freed and dyn.lanes_dispatched_mask == FULL_LANE_MASK:
+            dyn.rs_freed = True
+            self.rs_count -= 1
+
+    def _finish_lanes(self, dyn: DynUop, lanes: int, values: np.ndarray) -> None:
+        """Write back ``lanes`` of ``dyn`` and queue their wake-ups."""
+        completed = dyn.write_lanes(lanes, values)
+        self._worklist.append((dyn, lanes))
+        if completed:
+            self._worklist.append((dyn, 0))
 
     def _cw_enter(self, dyn: DynUop) -> None:
         if not dyn.in_cw:
@@ -636,11 +659,6 @@ class PipelineSimulator:
         if dyn.in_cw:
             dyn.in_cw = False
             self._cw_size -= 1
-
-    def _maybe_free_rs(self, dyn: DynUop) -> None:
-        if not dyn.rs_freed and dyn.all_lanes_dispatched():
-            dyn.rs_freed = True
-            self.rs_count -= 1
 
     # ------------------------------------------------------------------
     # Mixed-precision accumulator chains
@@ -669,22 +687,27 @@ class PipelineSimulator:
             return
         dyn.appended = True
         root = self._chain_root_of(dyn)
-        dyn.ml_remaining = [len(mls) for mls in dyn.ml_effectual]
-        for lane in range(FP32_LANES):
-            mls = dyn.ml_effectual[lane]
-            if not mls:
-                self._try_dispatch_lane(dyn, lane)
-                continue
-            dyn.mark_lane_dispatched(lane)
+        # Lanes with an effectual ML append to the chain; the rest pass
+        # through.
+        effectual = dyn.elm
+        if effectual:
+            dyn.lanes_dispatched_mask |= effectual
             self._cw_enter(dyn)
-            self.effectual_lanes += len(mls)
-            slot = slot_for_lane(lane, rotation_offset(
-                root.uop.accum, self.config.save.rotation_states
-            ) if self.scheme == CoalescingScheme.ROTATE_VERTICAL else 0)
-            chain = self.chains.lane(root, lane, slot)
-            for p in mls:
-                chain.append(dyn, p)
-            self.chains.mls_appended += len(mls)
+            mls = popcount(dyn.ml0) + popcount(dyn.ml1)
+            self.effectual_lanes += mls
+            self.chains.mls_appended += mls
+            self._maybe_free_rs(dyn)
+        self._dispatch(dyn, FULL_LANE_MASK)
+        root_lanes = root.acc_lanes()
+        for lane in lanes_of(effectual):
+            bit = 1 << lane
+            chain = self.chains.lane(
+                root, lane, slot_for_lane(lane, root.rotation)
+            )
+            if dyn.ml0 & bit:
+                chain.append(dyn, 0)
+            if dyn.ml1 & bit:
+                chain.append(dyn, 1)
             if self._tracing:
                 self.obs.emit(
                     self.cycle,
@@ -692,12 +715,11 @@ class PipelineSimulator:
                     seq=dyn.seq,
                     root=root.seq,
                     lane=lane,
-                    mls=list(mls),
+                    mls=[p for p, word in enumerate((dyn.ml0, dyn.ml1)) if word & bit],
                 )
-            if chain.acc_value is None and root.acc_lane_available(lane):
-                chain.acc_value = root.acc_lane_value(lane)
+            if chain.acc_value is None and root_lanes & bit:
+                chain.acc_value = root.acc_vector().item(lane)
             self._enqueue_chain_if_ready(chain)
-        self._maybe_free_rs(dyn)
         # Unblock chain successors waiting on append order.
         for consumer, role in dyn.consumers:
             if role == ROLE_ACC and consumer.is_fma and consumer.mixed:
@@ -732,7 +754,7 @@ class PipelineSimulator:
                 dyn.rs_freed = True
                 self.rs_count -= 1
                 self._cw_leave(dyn)
-                dyn.lanes_dispatched_mask = dyn.full_mask
+                dyn.lanes_dispatched_mask = FULL_LANE_MASK
                 op = TempOp(
                     TempOpKind.WHOLE,
                     cycle,
@@ -751,14 +773,7 @@ class PipelineSimulator:
                     entry = self.horizontal_sched.pop_oldest()
                     if entry is None:
                         break
-                    if isinstance(entry, ChainLane):
-                        entry.enqueued = False
-                        entry.busy = True
-                        op.kind = TempOpKind.CHAIN
-                        op.chain_entries.append((entry, entry.take(2), entry.acc_value))
-                    else:
-                        op.lane_entries.append(entry)
-                        self._cw_pop_lane(entry[0])
+                    self._assemble(op, entry)
                 if op.is_empty():
                     return
                 op.latency = self._op_latency(op)
@@ -777,15 +792,7 @@ class PipelineSimulator:
                 if item is None:
                     break
                 any_filled = True
-                if isinstance(item, ChainLane):
-                    item.enqueued = False
-                    item.busy = True
-                    mls = item.take(2)
-                    op.kind = TempOpKind.CHAIN
-                    op.chain_entries.append((item, mls, item.acc_value))
-                else:
-                    op.lane_entries.append(item)
-                    self._cw_pop_lane(item[0])
+                self._assemble(op, item)
         if not any_filled:
             return
         for op in ops:
@@ -793,6 +800,17 @@ class PipelineSimulator:
                 continue
             op.latency = self._op_latency(op)
             self._issue(op)
+
+    def _assemble(self, op: TempOp, item) -> None:
+        """Add one selected ``(µop, lane)`` or chain lane to ``op``."""
+        if isinstance(item, ChainLane):
+            item.enqueued = False
+            item.busy = True
+            op.kind = TempOpKind.CHAIN
+            op.chain_entries.append((item, item.take(2), item.acc_value))
+        else:
+            op.lane_entries.append(item)
+            self._cw_pop_lane(item[0])
 
     def _op_latency(self, op: TempOp) -> int:
         if op.chain_entries:
@@ -912,7 +930,7 @@ class PipelineSimulator:
             self.rs_count -= 1
             dyn.rs_freed = True
             dyn.set_output(value)
-            self._worklist.append(("full", dyn, -1))
+            self._worklist.append((dyn, 0))
             return
         # Embedded memory operand of an FMA.
         value = self.lsu.resolve_value(request.operand)
@@ -920,74 +938,100 @@ class PipelineSimulator:
         self._check_fma_progress(dyn)
 
     def _complete_vpu_op(self, op: TempOp) -> None:
+        """Write back one op's results, one lane word per µop.
+
+        Wake-ups leave in the order of each µop's *last* lane in the op,
+        as a lane-at-a-time engine would: that order decides, e.g., the
+        order of same-cycle stores in the store queue.
+        """
         if op.kind == TempOpKind.WHOLE:
             dyn = op.whole
             dyn.set_output(compute_whole(dyn))
-            self._worklist.append(("full", dyn, -1))
+            self._worklist.append((dyn, 0))
             return
-        for dyn, lane in op.lane_entries:
-            value = compute_lane(dyn, lane)
-            completed = dyn.mark_lane_done(lane, value)
-            self._worklist.append(("lane", dyn, lane))
-            if completed:
-                self._worklist.append(("full", dyn, -1))
+        if op.lane_entries:
+            for dyn, lanes in self._wake_up_order(op.lane_entries):
+                self._finish_lanes(dyn, lanes, compute_lanes(dyn))
+        if not op.chain_entries:
+            return
         # CHAIN: mixed-precision ML slots.
-        for chain, mls, acc_base in op.chain_entries:
-            final, partials = compute_chain_slot(mls, chain.lane, acc_base)
-            chain.acc_value = final
+        after_first, after_second = compute_chain_slots(op.chain_entries)
+        done = []
+        for index, (chain, mls, _acc) in enumerate(op.chain_entries):
+            lane = chain.lane
+            partials = (after_first[index], after_second[index])
+            for position, (dyn, p) in enumerate(mls):
+                if p or not dyn.ml1 >> lane & 1:
+                    # The µop's last ML in this lane: write back.
+                    dyn.out[lane] = partials[position]
+                    done.append((dyn, lane))
+            chain.acc_value = partials[len(mls) - 1]
             chain.busy = False
-            for dyn, _p, partial in partials:
-                dyn.ml_remaining[chain.lane] -= 1
-                if dyn.ml_remaining[chain.lane] == 0:
-                    completed = dyn.mark_lane_done(chain.lane, partial)
-                    self._worklist.append(("lane", dyn, chain.lane))
-                    if completed:
-                        self._cw_leave(dyn)
-                        self._worklist.append(("full", dyn, -1))
             self._enqueue_chain_if_ready(chain)
+        for dyn, lanes in self._wake_up_order(done):
+            self._worklist.append((dyn, lanes))
+            if dyn.lanes_done(lanes):
+                self._cw_leave(dyn)
+                self._worklist.append((dyn, 0))
+
+    def _wake_up_order(
+        self, entries: list[tuple[DynUop, int]]
+    ) -> list[tuple[DynUop, int]]:
+        """Group one op's ``(µop, lane)`` completions into lane words.
+
+        Words are ordered by each µop's last entry.  Under horizontal
+        compression each entry stays its own word: that queue breaks
+        same-``seq`` ties by insertion order, so lanes wake up in entry
+        order.
+        """
+        if self._horizontal:
+            return [(dyn, 1 << lane) for dyn, lane in entries]
+        words: dict[DynUop, int] = {}
+        for dyn, lane in reversed(entries):
+            words[dyn] = words.get(dyn, 0) | 1 << lane
+        return list(reversed(words.items()))
 
     # ------------------------------------------------------------------
     # Wake-up
     # ------------------------------------------------------------------
 
     def _drain_worklist(self) -> None:
-        while self._worklist:
-            kind, dyn, lane = self._worklist.popleft()
-            if kind == "lane":
-                self._on_lane_completion(dyn, lane)
+        worklist = self._worklist
+        while worklist:
+            dyn, lanes = worklist.popleft()
+            if lanes:
+                self._on_lane_completion(dyn, lanes)
             else:
                 self._on_full_completion(dyn)
 
-    def _on_lane_completion(self, producer: DynUop, lane: int) -> None:
+    def _on_lane_completion(self, producer: DynUop, lanes: int) -> None:
         for consumer, role in producer.consumers:
             if role != ROLE_ACC:
                 continue
             if consumer.mixed and self.mp_technique:
-                self._chain_acc_arrival(consumer, lane)
-                self._try_dispatch_lane(consumer, lane)
+                self._chain_acc_arrival(consumer, lanes)
+                self._dispatch(consumer, lanes)
             elif self.lwd and consumer.active:
-                self._try_dispatch_lane(consumer, lane)
+                self._dispatch(consumer, lanes)
 
-    def _chain_acc_arrival(self, consumer: DynUop, lane: int) -> None:
-        """A chain root's accumulator input lane became available."""
+    def _chain_acc_arrival(self, consumer: DynUop, lanes: int) -> None:
+        """Accumulator input ``lanes`` of a chain root became available."""
         if not consumer.appended:
             return
         root = self._chain_root_of(consumer)
         if root is not consumer:
             return
-        chain = self.chains.existing_lane(root, lane)
-        if chain is not None and chain.acc_value is None:
-            chain.acc_value = root.acc_lane_value(lane)
-            self._enqueue_chain_if_ready(chain)
+        for lane in lanes_of(lanes):
+            chain = self.chains.existing_lane(root, lane)
+            if chain is not None and chain.acc_value is None:
+                chain.acc_value = root.acc_vector().item(lane)
+                self._enqueue_chain_if_ready(chain)
 
     def _on_full_completion(self, producer: DynUop) -> None:
         producer.complete_cycle = self.cycle
         for consumer, role in producer.consumers:
-            if role == ROLE_A:
-                consumer.a_value = producer.out
-                self._check_fma_progress(consumer)
-            elif role == ROLE_B:
-                consumer.b_value = producer.out
+            if role in (ROLE_A, ROLE_B):
+                self._set_mult_value(consumer, role, producer.out, producer.value_words())
                 self._check_fma_progress(consumer)
             elif role == ROLE_MASK:
                 consumer.mask_bits = producer.uop.imm
@@ -1002,16 +1046,15 @@ class PipelineSimulator:
                 elif self.scheme == CoalescingScheme.NAIVE:
                     if consumer.active:
                         if consumer.elm == 0:
-                            self._dispatch_all_lanes(consumer)
+                            self._dispatch(consumer, FULL_LANE_MASK)
                         else:
                             self._try_queue_naive(consumer)
                 elif consumer.mixed and self.mp_technique:
                     if consumer.appended:
-                        for lane in range(FP32_LANES):
-                            self._chain_acc_arrival(consumer, lane)
-                            self._try_dispatch_lane(consumer, lane)
+                        self._chain_acc_arrival(consumer, FULL_LANE_MASK)
+                        self._dispatch(consumer, FULL_LANE_MASK)
                 elif consumer.active:
-                    self._dispatch_all_lanes(consumer)
+                    self._dispatch(consumer, FULL_LANE_MASK)
 
     # ------------------------------------------------------------------
     # Retire
@@ -1023,7 +1066,6 @@ class PipelineSimulator:
         rob = self._rob
         while budget > 0 and rob and rob[0].completed:
             dyn = rob.popleft()
-            dyn.retired = True
             self.prf.on_retire(dyn)
             if obs is not None:
                 self._note_retire(dyn)

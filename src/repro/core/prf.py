@@ -85,10 +85,3 @@ class PrfTracker:
             self._copy_refs[key] -= 1
             if self._copy_refs[key] == 0:
                 self._live_copies -= 1
-
-    # ------------------------------------------------------------------
-
-    @property
-    def rotation_overhead(self) -> float:
-        """Peak rotation copies as a fraction of peak base occupancy."""
-        return self.peak_copies / self.peak_base if self.peak_base else 0.0

@@ -13,48 +13,33 @@ anyway so the claim is checkable (and ablatable).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
-
 
 from repro.core.dynuop import DynUop
-from repro.isa.datatypes import FP32_LANES
+from repro.isa.datatypes import nonzero_words
 
 
-def compute_elm(dyn: DynUop) -> tuple[int, Optional[list[tuple[int, ...]]]]:
-    """Compute the ELM (and per-AL effectual-ML lists for mixed).
+def compute_elm(dyn: DynUop) -> tuple[int, int, int]:
+    """Compute the ELM and, for mixed precision, the two ML words.
 
     Requires the µop's multiplicands and write mask to be resolved.
 
     Returns:
-        ``(elm_bits, ml_effectual)`` where ``elm_bits`` has one bit per
-        accumulator lane and ``ml_effectual`` (mixed only) lists, per
-        accumulator lane, the effectual multiplicand-lane indices
-        (subset of ``(0, 1)``) — empty for write-masked lanes.
+        ``(elm, ml0, ml1)`` lane words.  ``ml<p>`` has bit ``l`` set iff
+        multiplicand lane ``p`` of accumulator lane ``l`` is effectual
+        (both multiplicands non-zero, write mask set); an accumulator
+        lane is effectual iff either ML is.  FP32 µops have one ML per
+        lane: ``ml0 == elm`` and ``ml1 == 0``.
     """
     if not dyn.multiplicands_ready():
         raise RuntimeError("ELM requested before multiplicands resolved")
-    a = dyn.a_value
-    b = dyn.b_value
+    a = nonzero_words(dyn.a_value) if dyn.a_words is None else dyn.a_words
+    b = nonzero_words(dyn.b_value) if dyn.b_words is None else dyn.b_words
     wm = dyn.write_mask()
-    elm = 0
+    ml0 = a[0] & b[0] & wm
     if not dyn.mixed:
-        for lane in range(FP32_LANES):
-            if wm & (1 << lane) and a[lane] != 0 and b[lane] != 0:
-                elm |= 1 << lane
-        return elm, None
-
-    ml_effectual: list[tuple[int, ...]] = []
-    for lane in range(FP32_LANES):
-        if not wm & (1 << lane):
-            ml_effectual.append(())
-            continue
-        effectual = tuple(
-            p for p in (0, 1) if a[2 * lane + p] != 0 and b[2 * lane + p] != 0
-        )
-        ml_effectual.append(effectual)
-        if effectual:
-            elm |= 1 << lane
-    return elm, ml_effectual
+        return ml0, ml0, 0
+    ml1 = a[1] & b[1] & wm
+    return ml0 | ml1, ml0, ml1
 
 
 class MguStage:
@@ -81,7 +66,7 @@ class MguStage:
         activated: list[DynUop] = []
         for _ in range(min(self.mgus_per_cycle, len(self._queue))):
             dyn = self._queue.popleft()
-            dyn.elm, dyn.ml_effectual = compute_elm(dyn)
+            dyn.elm, dyn.ml0, dyn.ml1 = compute_elm(dyn)
             self.processed += 1
             activated.append(dyn)
         return activated

@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-import numpy as np
-
 from repro.core.dynuop import DynUop
 
 #: One pending multiplicand-lane: (owning µop, ML index within the AL).
@@ -37,7 +35,7 @@ class ChainLane:
         self.queue: deque[MlRef] = deque()
         #: Forwarded partial accumulator; None until the chain's initial
         #: accumulator value is available.
-        self.acc_value: Optional[np.float32] = None
+        self.acc_value: Optional[float] = None
         self.busy = False
         #: True while the chain lane sits in a scheduler queue.
         self.enqueued = False
@@ -56,10 +54,7 @@ class ChainLane:
 
     def take(self, max_mls: int = 2) -> list[MlRef]:
         """Dequeue up to ``max_mls`` MLs for one VPU AL slot."""
-        taken: list[MlRef] = []
-        while self.queue and len(taken) < max_mls:
-            taken.append(self.queue.popleft())
-        return taken
+        return [self.queue.popleft() for _ in range(min(max_mls, len(self.queue)))]
 
 
 class ChainManager:
@@ -71,23 +66,6 @@ class ChainManager:
         self.created = 0
         #: Effectual MLs appended across all chain lanes (observability).
         self.mls_appended = 0
-
-    @staticmethod
-    def chain_root(dyn: DynUop) -> DynUop:
-        """The first µop of the accumulator chain containing ``dyn``.
-
-        A chain extends through consecutive mixed FMAs linked by their
-        accumulator source; it starts at a µop whose accumulator comes
-        from a non-FMA producer (or the initial register value).
-        """
-        root = dyn
-        while (
-            root.acc_src is not None
-            and root.acc_src.is_fma
-            and root.acc_src.mixed
-        ):
-            root = root.acc_src
-        return root
 
     def lane(self, root: DynUop, lane: int, slot: int) -> ChainLane:
         """Get or create the chain-lane record."""
@@ -102,7 +80,3 @@ class ChainManager:
     def existing_lane(self, root: DynUop, lane: int) -> Optional[ChainLane]:
         """Look up a chain-lane without creating it."""
         return self._chains.get((root.seq, lane))
-
-    def all_lanes(self) -> list[ChainLane]:
-        """All chain lanes (diagnostics/tests)."""
-        return list(self._chains.values())

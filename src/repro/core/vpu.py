@@ -5,8 +5,10 @@ A :class:`TempOp` is one issued VPU operation — either a whole VFMA
 rotate-vertical / horizontal), or a mixed-precision chain op processing
 up to two MLs per accumulator-lane slot.
 
-Result computation uses the same :func:`repro.isa.semantics.mac`
-primitive as the reference executor, so SAVE schedules that preserve
+Results are float32 array expressions over a lane set — a whole VFMA,
+the effectual lanes of one µop in one op, the chain slots of one op —
+with the same two roundings as :func:`repro.isa.semantics.mac` (a
+float32 multiply, then a float32 add), so SAVE schedules that preserve
 per-lane program order produce bit-identical architectural results.
 """
 
@@ -18,8 +20,7 @@ import numpy as np
 
 from repro.core.dynuop import DynUop
 from repro.core.save.mixed import ChainLane, MlRef
-from repro.isa.datatypes import FP32_LANES
-from repro.isa.semantics import mac
+from repro.isa.datatypes import FP32_LANES, FULL_LANE_MASK, lane_select
 
 
 class TempOpKind(Enum):
@@ -55,7 +56,7 @@ class TempOp:
         #: LANES: (µop, lane) pairs.
         self.lane_entries: list[tuple[DynUop, int]] = []
         #: CHAIN: (chain lane, MLs taken, acc base at issue) triples.
-        self.chain_entries: list[tuple[ChainLane, list[MlRef], np.float32]] = []
+        self.chain_entries: list[tuple[ChainLane, list[MlRef], float]] = []
 
     @property
     def complete_cycle(self) -> int:
@@ -63,11 +64,7 @@ class TempOp:
 
     def is_empty(self) -> bool:
         """True if nothing was assembled into this op."""
-        if self.kind == TempOpKind.WHOLE:
-            return self.whole is None
-        if self.kind == TempOpKind.LANES:
-            return not self.lane_entries
-        return not self.chain_entries
+        return self.whole is None and not self.lane_entries and not self.chain_entries
 
     def lane_count(self) -> int:
         """Occupied temp slots (VPU lane utilisation accounting)."""
@@ -97,59 +94,64 @@ class TempOp:
         }
 
 
+def products(dyn: DynUop) -> np.ndarray:
+    """The µop's float32 products ``a * b``, computed once."""
+    if dyn.prod is None:
+        dyn.prod = dyn.a_value * dyn.b_value
+    return dyn.prod
+
+
 def compute_whole(dyn: DynUop) -> np.ndarray:
     """Architectural result of a whole VFMA (baseline issue)."""
+    acc = dyn.acc_vector()
+    prod = dyn.a_value * dyn.b_value
+    if dyn.mixed:
+        out = acc + prod[0::2] + prod[1::2]
+    else:
+        out = acc + prod
     wm = dyn.write_mask()
-    out = np.zeros(FP32_LANES, dtype=np.float32)
-    for lane in range(FP32_LANES):
-        acc = dyn.acc_lane_value(lane)
-        if not wm & (1 << lane):
-            out[lane] = acc
-            continue
-        if dyn.mixed:
-            value = acc
-            value = mac(value, dyn.a_value[2 * lane], dyn.b_value[2 * lane])
-            value = mac(value, dyn.a_value[2 * lane + 1], dyn.b_value[2 * lane + 1])
-            out[lane] = value
-        else:
-            out[lane] = mac(acc, dyn.a_value[lane], dyn.b_value[lane])
+    if wm != FULL_LANE_MASK:
+        out = np.where(lane_select(wm), out, acc)
     return out
 
 
-def compute_lane(dyn: DynUop, lane: int) -> np.float32:
-    """Architectural result of one coalesced effectual lane.
+def compute_lanes(dyn: DynUop) -> np.ndarray:
+    """Effectual-lane results of one µop, as one 16-lane vector.
 
-    FP32: a single MAC.  Mixed without the MP technique: the µop's own
-    effectual MLs, chained in order — skipping ineffectual MLs is exact
-    because their product is a true zero.
+    FP32: one MAC per lane.  Mixed without the MP technique: the µop's
+    own effectual MLs, chained in order — skipping ineffectual MLs is
+    exact because their product is a true zero.  Only lanes whose
+    accumulator input is available are meaningful.
     """
-    acc = dyn.acc_lane_value(lane)
+    acc = dyn.acc_vector()
+    prod = products(dyn)
     if not dyn.mixed:
-        return mac(acc, dyn.a_value[lane], dyn.b_value[lane])
-    value = acc
-    for p in dyn.ml_effectual[lane]:
-        value = mac(value, dyn.a_value[2 * lane + p], dyn.b_value[2 * lane + p])
-    return value
+        return acc + prod
+    value = np.where(lane_select(dyn.ml0), acc + prod[0::2], acc)
+    return np.where(lane_select(dyn.ml1), value + prod[1::2], value)
 
 
-def compute_chain_slot(
-    mls: list[MlRef], lane: int, acc_base: np.float32
-) -> tuple[np.float32, list[tuple[DynUop, int, np.float32]]]:
-    """Process up to two MLs of one chain slot (Fig. 11 semantics).
+def compute_chain_slots(
+    entries: list[tuple[ChainLane, list[MlRef], float]],
+) -> tuple[list[float], list[float]]:
+    """Process the chain slots of one op (Fig. 11 semantics).
 
-    Args:
-        mls: ``(µop, p)`` pairs where ``p`` selects the ML within the
-            accumulator lane, in program order.
-        lane: the accumulator lane this chain slot belongs to.
-        acc_base: accumulation base (forwarded partial or chain start).
-
-    Returns the final partial value (forwarded to the next chain op)
-    and, per ML, the partial value *after* that ML — the value written
-    back if the ML is its instruction's last (Sec. V-B).
+    Each entry is ``(chain lane, one or two (µop, p) MLs in program
+    order, accumulation base)``.  Returns, per entry, the partial after
+    its first ML and after its second: the last one is forwarded to the
+    next chain op, and each is written back if its ML is its µop's last
+    in the lane (Sec. V-B).
     """
-    value = np.float32(acc_base)
-    partials: list[tuple[DynUop, int, np.float32]] = []
-    for dyn, p in mls:
-        value = mac(value, dyn.a_value[2 * lane + p], dyn.b_value[2 * lane + p])
-        partials.append((dyn, p, value))
-    return value, partials
+    bases = [acc_base for _chain, _mls, acc_base in entries]
+    first = [_product(chain, mls[0]) for chain, mls, _acc in entries]
+    second = [
+        _product(chain, mls[1]) if len(mls) > 1 else 0.0 for chain, mls, _acc in entries
+    ]
+    after_first = np.array(bases, dtype=np.float32) + np.array(first, dtype=np.float32)
+    after_second = after_first + np.array(second, dtype=np.float32)
+    return after_first.tolist(), after_second.tolist()
+
+
+def _product(chain: ChainLane, ml: MlRef) -> float:
+    dyn, p = ml
+    return products(dyn).item(2 * chain.lane + p)

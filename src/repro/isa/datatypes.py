@@ -65,3 +65,43 @@ def is_bf16_representable(values: np.ndarray) -> bool:
 def fp32_zeros(n: int = FP32_LANES) -> np.ndarray:
     """Return an ``n``-lane FP32 zero vector."""
     return np.zeros(n, dtype=np.float32)
+
+
+# ---------------------------------------------------------------------------
+# Lane words: a set of FP32 lanes as an int with one bit per lane, the
+# form of write masks (``k`` registers) and of SAVE's Effectual Lane Masks.
+# ---------------------------------------------------------------------------
+
+#: The lane word with every FP32 lane set.
+FULL_LANE_MASK = (1 << FP32_LANES) - 1
+
+_LANE_BITS = 1 << np.arange(FP32_LANES, dtype=np.int64)
+_BYTE_LANES = [tuple(lane for lane in range(8) if byte >> lane & 1) for byte in range(256)]
+_HIGH_BYTE_LANES = [tuple(lane + 8 for lane in lanes) for lanes in _BYTE_LANES]
+_BYTE_SELECT = [np.array([byte >> lane & 1 for lane in range(8)], dtype=bool) for byte in range(256)]
+
+try:
+    popcount = int.bit_count  # Python >= 3.10
+except AttributeError:  # pragma: no cover - Python 3.9
+
+    def popcount(word: int) -> int:
+        return bin(word).count("1")
+
+
+def lanes_of(word: int) -> tuple[int, ...]:
+    """The lanes set in a lane word, ascending."""
+    return _BYTE_LANES[word & 0xFF] + _HIGH_BYTE_LANES[word >> 8]
+
+
+def lane_select(word: int) -> np.ndarray:
+    """A lane word as a 16-lane boolean selector."""
+    return np.concatenate((_BYTE_SELECT[word & 0xFF], _BYTE_SELECT[word >> 8]))
+
+
+def nonzero_words(value: np.ndarray) -> list[int]:
+    """The non-zero lanes of a vector as lane words.
+
+    One word for 16 FP32 lanes; two for 32 BF16 lanes, where word ``p``
+    has bit ``l`` set iff multiplicand lane ``2l + p`` is non-zero.
+    """
+    return ((value != 0).reshape(FP32_LANES, -1).T @ _LANE_BITS).tolist()

@@ -80,6 +80,12 @@ class Memory:
         for i, value in enumerate(arr):
             self._data[addr + i * stride] = float(value)
 
+    def copy(self) -> Memory:
+        """An independent copy of the image (values are already float32-exact)."""
+        clone = Memory()
+        clone._data = dict(self._data)
+        return clone
+
     def snapshot(self) -> dict[int, float]:
         """Return a copy of the backing store (for state comparison)."""
         return dict(self._data)

@@ -24,6 +24,7 @@ Tile choices follow the paper's stated properties:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 from collections.abc import Callable
@@ -226,9 +227,10 @@ def trace_stream(config: object) -> GeneratorTraceStream:
     sweeps, surfaces, the executor) resolves its generator here instead
     of hard-wiring ``generate_*`` imports per kernel family.
     """
-    factory = _STREAM_FACTORIES.get(type(config))
+    factories = _stream_factories()
+    factory = factories.get(type(config))
     if factory is None:
-        known = ", ".join(sorted(t.__name__ for t in _STREAM_FACTORIES))
+        known = ", ".join(sorted(t.__name__ for t in factories))
         raise TypeError(
             f"no trace generator registered for {type(config).__name__}; "
             f"known config types: {known}"
@@ -241,21 +243,21 @@ def generate_trace(config: object) -> KernelTrace:
     return trace_stream(config).to_trace()
 
 
-# Populated at the bottom of the module: the import has to run after the
-# KernelSpec machinery exists because sparsetrain validates against it.
-_STREAM_FACTORIES: dict[type, Callable[..., GeneratorTraceStream]] = {}
+@functools.lru_cache(maxsize=None)
+def _stream_factories() -> dict[type, Callable[..., GeneratorTraceStream]]:
+    """Config type → stream generator, built on first use.
 
-
-def _register_generators() -> None:
+    Not at import time: the rival generators import the kernels package,
+    so importing them from here while it loads is a cycle.
+    """
     from repro.kernels.gemm import generate_gemm_stream
     from repro.kernels.sparsetrain import SparseTrainConfig, generate_sparsetrain_stream
     from repro.rivals.indexmac import IndexMACConfig, generate_indexmac_stream
     from repro.rivals.nm import NMKernelConfig, generate_nm_stream
 
-    _STREAM_FACTORIES[GemmKernelConfig] = generate_gemm_stream
-    _STREAM_FACTORIES[SparseTrainConfig] = generate_sparsetrain_stream
-    _STREAM_FACTORIES[NMKernelConfig] = generate_nm_stream
-    _STREAM_FACTORIES[IndexMACConfig] = generate_indexmac_stream
-
-
-_register_generators()
+    return {
+        GemmKernelConfig: generate_gemm_stream,
+        SparseTrainConfig: generate_sparsetrain_stream,
+        NMKernelConfig: generate_nm_stream,
+        IndexMACConfig: generate_indexmac_stream,
+    }

@@ -151,10 +151,7 @@ class GeneratorTraceStream:
 
     def fresh_state(self) -> ArchState:
         """An architectural state over a *copy* of the memory image."""
-        clone = Memory()
-        for addr, value in self.memory.snapshot().items():
-            clone.write(addr, value)
-        return ArchState(clone)
+        return ArchState(self.memory.copy())
 
     def reference_result(self) -> ArchState:
         """Run the in-order reference executor over the stream."""

@@ -171,10 +171,7 @@ class KernelTrace:
         Each consumer (reference run, pipeline run) gets its own memory
         so stores from one run cannot leak into another.
         """
-        clone = Memory()
-        for addr, value in self.memory.snapshot().items():
-            clone.write(addr, value)
-        return ArchState(clone)
+        return ArchState(self.memory.copy())
 
     def reference_result(self) -> ArchState:
         """Run the in-order reference executor over the trace."""

@@ -21,6 +21,11 @@ Each workload records three things:
   means the simulated machine itself changed — reported as a warning,
   not a regression, since model changes are sometimes the point.
 
+``single_save_point`` and ``coarse_sweep`` also record ``layers``: self
+time in ms per package (``repro.core``, ``repro.core.save``,
+``repro.kernels``, ...) from one *profiled* pass (never timed), so a
+comparison between entries names the layer that moved.
+
 The ``fastsim_sweep`` workload times the same coarse sweep on the
 exact and fast engine tiers and records ``speedup_over_exact`` — the
 ledger is where the fast tier's headline speedup is demonstrated and
@@ -74,6 +79,7 @@ __all__ = [
     "bench_main",
     "compare_entries",
     "format_report",
+    "layer_moves",
     "ledger_paths",
     "next_seq",
     "report_main",
@@ -109,6 +115,12 @@ KEY_COUNTERS = (
     "bcache_hits",
     "bcache_misses",
 )
+
+#: Workloads that carry a ``layers`` map.
+LAYER_WORKLOADS = ("single_save_point", "coarse_sweep")
+
+#: Layer moves printed per workload when two entries are compared.
+LAYER_MOVES_SHOWN = 3
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +193,7 @@ def _run_workload(
     SimExecutor(jobs=1, metrics=registry).map(point_jobs)
     counters = registry.snapshot()["counters"]
     sim_cycles = int(counters.get("sim_cycles", 0))
-    return {
+    result = {
         "wall_s": round(best, 6),
         "jobs": jobs,
         "points": len(point_jobs),
@@ -191,6 +203,58 @@ def _run_workload(
             key: int(counters[key]) for key in KEY_COUNTERS if key in counters
         },
     }
+    if name in LAYER_WORKLOADS:
+        result["layers"] = _layer_profile(point_jobs)
+    return result
+
+
+def _layer_profile(point_jobs: list[Any]) -> dict[str, float]:
+    """Self time (ms) per package over one profiled serial pass.
+
+    ``repro`` code is bucketed by its package directory (``repro.core``,
+    ``repro.core.save``, ...); numpy's Python code is ``numpy`` and the
+    rest of the interpreter (stdlib, C builtins) is ``python``.  Time
+    inside numpy's C ufuncs is charged to the Python function that
+    called them, so vectorised FP semantics count in their caller's
+    layer.  Profiling slows the pass down, so only the shares compare
+    across entries, and the pass is never the timed one.
+    """
+    import cProfile
+    import pstats
+
+    from repro.experiments.executor import SimExecutor
+
+    profile = cProfile.Profile()
+    profile.runcall(SimExecutor(jobs=1).map, point_jobs)
+    layers: dict[str, float] = {}
+    for (filename, _line, _func), row in pstats.Stats(profile).stats.items():
+        layer = _layer_of(filename)
+        layers[layer] = layers.get(layer, 0.0) + row[2]  # tottime
+    return {layer: round(seconds * 1000.0, 1) for layer, seconds in sorted(layers.items())}
+
+
+def _layer_of(filename: str) -> str:
+    parts = Path(filename).parts
+    if "repro" in parts:
+        start = len(parts) - 1 - parts[::-1].index("repro")
+        return ".".join(parts[start:-1])
+    return "numpy" if "numpy" in parts else "python"
+
+
+def layer_moves(prior: dict[str, Any], workload: dict[str, Any]) -> list[dict[str, Any]]:
+    """Per-layer self-time changes between two records, largest first."""
+    before = prior.get("layers") or {}
+    after = workload.get("layers") or {}
+    moves = [
+        {
+            "layer": layer,
+            "prev_ms": before.get(layer, 0.0),
+            "ms": after.get(layer, 0.0),
+            "change_ms": round(after.get(layer, 0.0) - before.get(layer, 0.0), 1),
+        }
+        for layer in sorted(set(before) | set(after))
+    ]
+    return sorted(moves, key=lambda move: -abs(move["change_ms"]))
 
 
 def _run_fastsim_workload(point_jobs: list[Any], repeats: int) -> dict[str, Any]:
@@ -679,6 +743,8 @@ def compare_entries(
         }
         if mixes:
             delta["mixes"] = mixes
+        if prior.get("layers") and workload.get("layers"):
+            delta["layers"] = layer_moves(prior, workload)
         deltas.append(delta)
     return deltas
 
@@ -901,6 +967,11 @@ def bench_main(argv: Optional[list[str]] = None) -> int:
                 f"{delta['wall_s']:.3f}s ({delta['change']:+.1%}) "
                 f"{delta['status']}{drift}"
             )
+            for move in delta.get("layers", ())[:LAYER_MOVES_SHOWN]:
+                print(
+                    f"    layer {move['layer']}: {move['prev_ms']:.1f}ms -> "
+                    f"{move['ms']:.1f}ms self ({move['change_ms']:+.1f}ms)"
+                )
             for mix in delta.get("mixes", ()):
                 verdict = "REGRESSED" if mix["regressed"] else "ok"
                 print(

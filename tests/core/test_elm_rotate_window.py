@@ -27,30 +27,30 @@ def fma_dyn(a, b, mask_bits=None, mixed=False, wmask=None):
 class TestComputeElm:
     def test_dense_all_effectual(self):
         dyn = fma_dyn(np.ones(16), np.ones(16))
-        elm, ml = compute_elm(dyn)
-        assert elm == 0xFFFF and ml is None
+        elm, ml0, ml1 = compute_elm(dyn)
+        assert elm == ml0 == 0xFFFF and ml1 == 0
 
     def test_zero_in_a_kills_lane(self):
         a = np.ones(16)
         a[3] = 0
         dyn = fma_dyn(a, np.ones(16))
-        elm, _ = compute_elm(dyn)
+        elm, _, _ = compute_elm(dyn)
         assert not elm & (1 << 3)
         assert elm & (1 << 2)
 
     def test_zero_in_b_kills_lane(self):
         b = np.ones(16)
         b[7] = 0
-        elm, _ = compute_elm(fma_dyn(np.ones(16), b))
+        elm, _, _ = compute_elm(fma_dyn(np.ones(16), b))
         assert not elm & (1 << 7)
 
     def test_broadcast_zero_is_all_ineffectual(self):
-        elm, _ = compute_elm(fma_dyn(np.zeros(16), np.ones(16)))
+        elm, _, _ = compute_elm(fma_dyn(np.zeros(16), np.ones(16)))
         assert elm == 0
 
     def test_write_mask_clears_lanes(self):
         dyn = fma_dyn(np.ones(16), np.ones(16), mask_bits=0x00FF, wmask=1)
-        elm, _ = compute_elm(dyn)
+        elm, _, _ = compute_elm(dyn)
         assert elm == 0x00FF
 
     def test_requires_operands(self):
@@ -63,17 +63,18 @@ class TestComputeElm:
         b = np.ones(32)
         b[0] = 0  # AL 0 ML 0 dead, ML 1 alive
         b[2] = b[3] = 0  # AL 1 both dead
-        elm, ml = compute_elm(fma_dyn(a, b, mixed=True))
+        elm, ml0, ml1 = compute_elm(fma_dyn(a, b, mixed=True))
         assert elm & 1
         assert not elm & 2
-        assert ml[0] == (1,)
-        assert ml[1] == ()
-        assert ml[2] == (0, 1)
+        assert (ml0 & 1, ml1 & 1) == (0, 1)  # AL 0: ML 1 only
+        assert (ml0 & 2, ml1 & 2) == (0, 0)  # AL 1: none
+        assert (ml0 & 4, ml1 & 4) == (4, 4)  # AL 2: both
+        assert elm == ml0 | ml1
 
     def test_mixed_write_mask_empties_ml_list(self):
         dyn = fma_dyn(np.ones(32), np.ones(32), mask_bits=0xFFFE, wmask=1, mixed=True)
-        elm, ml = compute_elm(dyn)
-        assert ml[0] == ()
+        elm, ml0, ml1 = compute_elm(dyn)
+        assert not (ml0 | ml1) & 1
         assert not elm & 1
 
 

@@ -150,9 +150,8 @@ def grid_cases() -> list[tuple[str, str]]:
 
 
 def metrics_cases() -> list[tuple[str, str]]:
-    cases = [(kernel, machine) for kernel, machine in grid_cases()]
-    cases += [(kernel, variant) for kernel in mixed_kernels() for variant in machine_variants()]
-    return cases
+    variants = [(kernel, name) for kernel in mixed_kernels() for name in machine_variants()]
+    return grid_cases() + variants
 
 
 def metrics_machine(name: str):

@@ -117,15 +117,24 @@ class TestDynUopProperties:
         dyn.acc_init = np.zeros(16, dtype=np.float32)
         lanes = [l for l in range(16) if mask & (1 << l)]
         for lane in lanes:
-            dyn.mark_lane_done(lane, np.float32(lane))
+            dyn.write_lanes(1 << lane, np.arange(16, dtype=np.float32))
         assert dyn.lanes_done_mask == mask
         assert dyn.completed == (mask == 0xFFFF)
+        if lanes:
+            assert [float(dyn.out[lane]) for lane in lanes] == lanes
+
+    @given(st.integers(1, 0xFFFF))
+    def test_word_write_touches_only_its_lanes(self, mask):
+        dyn = DynUop(vfma(0, RegOperand(1), RegOperand(2)), 0)
+        dyn.write_lanes(mask, np.arange(1, 17, dtype=np.float32))
+        expected = [lane + 1.0 if mask >> lane & 1 else 0.0 for lane in range(16)]
+        assert dyn.out.tolist() == expected
 
     def test_completion_fires_exactly_once(self):
         dyn = DynUop(vfma(0, RegOperand(1), RegOperand(2)), 0)
         transitions = 0
         for lane in range(16):
-            if dyn.mark_lane_done(lane, np.float32(1.0)):
+            if dyn.write_lanes(1 << lane, np.ones(16, dtype=np.float32)):
                 transitions += 1
         assert transitions == 1
 

@@ -142,6 +142,38 @@ class TestCompare:
         assert not deltas[0]["regressed"]
 
 
+class TestLayers:
+    def test_layer_of_buckets_by_package(self):
+        assert bench._layer_of("/x/src/repro/core/save/elm.py") == "repro.core.save"
+        assert bench._layer_of("/x/src/repro/core/pipeline.py") == "repro.core"
+        assert bench._layer_of("/y/site-packages/numpy/_core/numeric.py") == "numpy"
+        assert bench._layer_of("~") == "python"
+        assert bench._layer_of("/usr/lib/python3.11/heapq.py") == "python"
+
+    def test_compare_names_the_layer_that_moved(self):
+        previous, current = _entry(wall=1.0), _entry(wall=0.6)
+        previous["workloads"]["single_save_point"]["layers"] = {
+            "repro.core": 500.0,
+            "repro.isa": 60.0,
+        }
+        current["workloads"]["single_save_point"]["layers"] = {
+            "repro.core": 250.0,
+            "repro.isa": 70.0,
+            "numpy": 5.0,
+        }
+        [delta] = compare_entries(previous, current)
+        moves = delta["layers"]
+        assert [move["layer"] for move in moves] == ["repro.core", "repro.isa", "numpy"]
+        assert moves[0]["change_ms"] == -250.0
+        assert moves[2]["prev_ms"] == 0.0
+
+    def test_no_layers_without_both_maps(self):
+        previous, current = _entry(), _entry()
+        current["workloads"]["single_save_point"]["layers"] = {"repro.core": 1.0}
+        [delta] = compare_entries(previous, current)
+        assert "layers" not in delta
+
+
 def _serve_entry(p95_by_mix, wall=1.0):
     entry = _entry(wall=wall)
     workload = entry["workloads"].pop("single_save_point")
@@ -225,6 +257,25 @@ class TestBenchMain:
         out = capsys.readouterr().out
         assert "baseline recorded" in out
         assert ledger_paths(ledger)
+
+    def test_comparison_prints_layer_moves(self, tmp_path, capsys, monkeypatch):
+        core_ms = {"value": 100.0}
+
+        def fake_run_suite(quick=False, repeats=2, echo=None):
+            entry = _entry(quick=quick)
+            entry["workloads"]["single_save_point"]["layers"] = {
+                "repro.core": core_ms["value"],
+                "repro.isa": 10.0,
+            }
+            return entry
+
+        monkeypatch.setattr(bench, "run_suite", fake_run_suite)
+        ledger = tmp_path / "ledger"
+        bench_main(["--ledger", str(ledger), "--quick"])
+        core_ms["value"] = 40.0
+        assert bench_main(["--ledger", str(ledger), "--quick"]) == 0
+        out = capsys.readouterr().out
+        assert "layer repro.core: 100.0ms -> 40.0ms self (-60.0ms)" in out
 
     def test_second_run_compares_and_passes(self, tmp_path, capsys, fake_suite):
         ledger = tmp_path / "ledger"
@@ -376,6 +427,10 @@ class TestRealSuiteSmoke:
                 continue
             assert workload["sim_cycles"] > 0
             assert workload["counters"]["sim_cycles"] == workload["sim_cycles"]
+        for name in bench.LAYER_WORKLOADS:
+            layers = workloads[name]["layers"]
+            assert layers["repro.core"] > 0
+            assert all(ms >= 0 for ms in layers.values())
         fastsim = workloads["fastsim_sweep"]
         assert fastsim["exact_wall_s"] > 0
         assert fastsim["speedup_over_exact"] > 1.0
