@@ -76,9 +76,12 @@ def fp32_zeros(n: int = FP32_LANES) -> np.ndarray:
 FULL_LANE_MASK = (1 << FP32_LANES) - 1
 
 _LANE_BITS = 1 << np.arange(FP32_LANES, dtype=np.int64)
+#: Per byte value: its set lanes (low and high byte) and a boolean selector.
 _BYTE_LANES = [tuple(lane for lane in range(8) if byte >> lane & 1) for byte in range(256)]
 _HIGH_BYTE_LANES = [tuple(lane + 8 for lane in lanes) for lanes in _BYTE_LANES]
-_BYTE_SELECT = [np.array([byte >> lane & 1 for lane in range(8)], dtype=bool) for byte in range(256)]
+_BYTE_SELECT = [
+    np.array([byte >> lane & 1 for lane in range(8)], dtype=bool) for byte in range(256)
+]
 
 try:
     popcount = int.bit_count  # Python >= 3.10

@@ -79,7 +79,6 @@ __all__ = [
     "bench_main",
     "compare_entries",
     "format_report",
-    "layer_moves",
     "ledger_paths",
     "next_seq",
     "report_main",
@@ -241,7 +240,7 @@ def _layer_of(filename: str) -> str:
     return "numpy" if "numpy" in parts else "python"
 
 
-def layer_moves(prior: dict[str, Any], workload: dict[str, Any]) -> list[dict[str, Any]]:
+def _layer_moves(prior: dict[str, Any], workload: dict[str, Any]) -> list[dict[str, Any]]:
     """Per-layer self-time changes between two records, largest first."""
     before = prior.get("layers") or {}
     after = workload.get("layers") or {}
@@ -744,7 +743,7 @@ def compare_entries(
         if mixes:
             delta["mixes"] = mixes
         if prior.get("layers") and workload.get("layers"):
-            delta["layers"] = layer_moves(prior, workload)
+            delta["layers"] = _layer_moves(prior, workload)
         deltas.append(delta)
     return deltas
 
