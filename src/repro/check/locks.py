@@ -13,7 +13,7 @@ Exemptions that encode the codebase's own conventions:
 
 * ``__init__`` — the object is not shared before construction returns;
 * methods named ``*_locked`` — the caller-holds-the-lock helper
-  convention (``_drain_batch_locked``);
+  convention (``_rotate_locked``);
 * reads (never flagged) and writes through non-``self`` names.
 
 **Call-graph checks** (v2, via the program index): the ``*_locked``

@@ -19,7 +19,7 @@ Two properties make this the engine's unit of caching
   cache entry can never go stale while its file is unchanged.
 
 The call graph is deliberately honest about Python: edges carry the
-*textual* callee (``self._drain_batch_locked``, ``repro.fsio.FileLock``
+*textual* callee (``self._rotate_locked``, ``repro.fsio.FileLock``
 after import resolution, or a bare local name) and resolution happens
 at query time against the index.  Dynamic dispatch that cannot be
 resolved statically stays unresolved rather than guessed.

@@ -92,7 +92,7 @@ BENCH_SCHEMA_VERSION = 1
 #: Wall-time increase (fractional) that counts as a regression.
 DEFAULT_THRESHOLD = 0.25
 
-#: Per-mix p95 latency increase (fractional) that counts as a
+#: Per-mix p95 or p99 latency increase (fractional) that counts as a
 #: regression for workloads carrying ``mixes`` (``serve_roundtrip``).
 #: Tighter than the wall-time gate: summed wall time can hide one mix's
 #: tail latency blowing up while the others absorb the average.
@@ -683,21 +683,25 @@ def _compare_mixes(
     workload: dict[str, Any],
     threshold: float,
 ) -> list[dict[str, Any]]:
-    """Per-mix p95 deltas for workloads that carry ``mixes``."""
+    """Per-mix p95 (``change``) and p99 (``p99_change``) deltas for
+    workloads that carry ``mixes``; either beyond ``threshold`` regresses."""
     deltas: list[dict[str, Any]] = []
     prev_mixes = prior.get("mixes") or {}
     for mix, record in (workload.get("mixes") or {}).items():
         prev = prev_mixes.get(mix)
-        if prev is None or not prev.get("p95_ms"):
+        if prev is None or not prev.get("p95_ms") or not prev.get("p99_ms"):
             continue
-        change = (record["p95_ms"] - prev["p95_ms"]) / prev["p95_ms"]
+        p95, p99 = ((record[q] - prev[q]) / prev[q] for q in ("p95_ms", "p99_ms"))
         deltas.append(
             {
                 "mix": mix,
                 "prev_p95_ms": prev["p95_ms"],
                 "p95_ms": record["p95_ms"],
-                "change": round(change, 4),
-                "regressed": change > threshold,
+                "change": round(p95, 4),
+                "prev_p99_ms": prev["p99_ms"],
+                "p99_ms": record["p99_ms"],
+                "p99_change": round(p99, 4),
+                "regressed": max(p95, p99) > threshold,
             }
         )
     return deltas
@@ -713,11 +717,11 @@ def compare_entries(
 
     A workload regresses when its wall time grew by more than
     ``threshold`` (fractional), or — for workloads recording per-mix
-    latency (``serve_roundtrip``) — when any single mix's p95 grew by
-    more than ``mix_threshold``.  Comparing a ``--quick`` entry against
-    a full one would be meaningless; callers should compare entries of
-    the same flavour (``bench_main`` compares against the latest entry
-    with matching ``quick``).
+    latency (``serve_roundtrip``) — when any single mix's p95 or p99
+    grew by more than ``mix_threshold``.  Comparing a ``--quick`` entry
+    against a full one would be meaningless; callers should compare
+    entries of the same flavour (``bench_main`` compares against the
+    latest entry with matching ``quick``).
     """
     deltas: list[dict[str, Any]] = []
     prev_workloads = previous.get("workloads", {})
@@ -906,7 +910,7 @@ def bench_main(argv: Optional[list[str]] = None) -> int:
         type=float,
         default=MIX_P95_THRESHOLD,
         metavar="FRAC",
-        help="fractional per-mix p95 latency increase that fails "
+        help="fractional per-mix p95 or p99 latency increase that fails "
         f"serve_roundtrip (default: {MIX_P95_THRESHOLD})",
     )
     parser.add_argument(
@@ -975,7 +979,9 @@ def bench_main(argv: Optional[list[str]] = None) -> int:
                 verdict = "REGRESSED" if mix["regressed"] else "ok"
                 print(
                     f"    {mix['mix']} p95: {mix['prev_p95_ms']:.1f}ms -> "
-                    f"{mix['p95_ms']:.1f}ms ({mix['change']:+.1%}) {verdict}"
+                    f"{mix['p95_ms']:.1f}ms ({mix['change']:+.1%}), p99: "
+                    f"{mix['prev_p99_ms']:.1f}ms -> {mix['p99_ms']:.1f}ms "
+                    f"({mix['p99_change']:+.1%}) {verdict}"
                 )
         if any(delta["regressed"] for delta in deltas):
             print(

@@ -200,12 +200,11 @@ class ServeReportAnalysis:
         verdicts = {
             "queue_wait": (
                 "queue wait dominates — requests back up before the "
-                "dispatcher; more executor workers or a wider batch "
-                "window would help"
+                "dispatcher; more executor workers would help"
             ),
             "batch_form": (
-                "batch formation dominates — the dispatcher lingers "
-                "longer than it simulates; shrink batch_window_s"
+                "batch formation dominates — jobs wait while earlier "
+                "batch-key groups of the same round simulate"
             ),
             "simulate": (
                 "simulation dominates — the healthy regime; scale "

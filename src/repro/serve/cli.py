@@ -45,10 +45,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="bounded queue capacity; excess submits get HTTP 429",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=0.01, metavar="SECONDS",
-        help="dispatcher linger that coalesces closely spaced requests",
-    )
-    parser.add_argument(
         "--trace", metavar="FILE", default=None,
         help="JSONL event trace of every simulated cycle (forces serial)",
     )
@@ -113,7 +109,6 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
             jobs=args.jobs,
             store_dir=args.store,
             queue_limit=args.queue_limit,
-            batch_window_s=args.batch_window,
             telemetry_interval_s=args.telemetry_interval,
         )
         executor = SimExecutor(

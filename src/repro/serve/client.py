@@ -2,21 +2,24 @@
 
 :class:`ServeClient` wraps the four verbs a caller needs — ``submit``,
 ``poll``, ``result`` and the blocking convenience ``run`` (submit,
-honour backpressure, poll to completion, fetch).  Errors map to typed
+honour backpressure, long-poll the result).  Errors map to typed
 exceptions so callers can distinguish "try again later"
 (:class:`Backpressure`) from "the request is wrong"
 (:class:`ClientError`) from "the simulation failed" (:class:`JobFailed`).
+
+Each thread keeps one kept-alive connection (``http.client`` sets
+``TCP_NODELAY``), so a call costs no TCP handshake.
 """
 
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
-import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Optional
+from urllib.parse import urlsplit
 
 __all__ = [
     "Backpressure",
@@ -24,15 +27,6 @@ __all__ = [
     "JobFailed",
     "ServeClient",
 ]
-
-#: Poll backoff tuning for :meth:`ServeClient.run`: first wait, cap,
-#: growth factor, and the jitter band (each delay is scaled by a
-#: uniform draw from [JITTER_LOW, 1.0] so synchronized clients spread
-#: out instead of polling in lockstep).
-POLL_INITIAL_S = 0.02
-POLL_MAX_S = 1.0
-POLL_GROWTH = 2.0
-POLL_JITTER_LOW = 0.5
 
 
 class ClientError(RuntimeError):
@@ -56,51 +50,69 @@ class JobFailed(RuntimeError):
 
 
 class ServeClient:
-    """HTTP client for one service endpoint.
+    """HTTP client for one service endpoint, shareable across threads.
 
     Args:
         base_url: e.g. ``http://127.0.0.1:8731`` (trailing slash ok).
-        timeout: per-HTTP-call socket timeout in seconds.
+        timeout: per-HTTP-call socket timeout in seconds (a long-poll
+            adds its wait on top).
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 10.0,
-        rng: Optional[random.Random] = None,
-    ) -> None:
+    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        #: Jitter source for poll backoff; injectable so tests get
-        #: deterministic delay sequences.
-        self.rng = rng if rng is not None else random.Random()
+        self._address = urlsplit(self.base_url)
+        self._local = threading.local()
 
     # -- transport --------------------------------------------------------
 
-    def _call(
-        self, method: str, path: str, body: Optional[dict[str, Any]] = None
-    ) -> dict[str, Any]:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            method=method,
-            data=json.dumps(body).encode() if body is not None else None,
-            headers={"Content-Type": "application/json"},
-        )
+    def _exchange(
+        self, conn: http.client.HTTPConnection, method: str, path: str,
+        data: Optional[bytes], timeout: Optional[float],
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request and its reply on ``conn``; closed on any failure."""
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return json.loads(reply.read())
-        except urllib.error.HTTPError as error:
-            payload: dict[str, Any] = {}
-            with contextlib.suppress(json.JSONDecodeError, OSError):
-                payload = json.loads(error.read())
-            if error.code in (429, 503):
-                retry_after = payload.get(
-                    "retry_after_s", error.headers.get("Retry-After", 1)
-                )
-                raise Backpressure(float(retry_after)) from None
-            raise ClientError(
-                error.code, str(payload.get("error", error.reason))
-            ) from None
+            if conn.sock is None:
+                conn.connect()  # sets TCP_NODELAY
+            conn.sock.settimeout(self.timeout if timeout is None else timeout)
+            conn.request(method, path, data, {"Content-Type": "application/json"})
+            reply = conn.getresponse()
+            return reply, reply.read()
+        except BaseException:
+            conn.close()  # a half-done exchange leaves it unusable
+            raise
+
+    def _call(
+        self, method: str, path: str, body: Optional[dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ) -> dict[str, Any]:
+        data = json.dumps(body).encode() if body is not None else None
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self._address.hostname, self._address.port, timeout=self.timeout
+            )
+        reused = conn.sock is not None
+        try:
+            reply, raw = self._exchange(conn, method, path, data, timeout)
+        except ConnectionError:
+            if not reused:
+                raise
+            # The server dropped the idle connection.  Resending is safe:
+            # a submit is keyed by its fingerprint, so a repeat dedups or
+            # hits the store.
+            reply, raw = self._exchange(conn, method, path, data, timeout)
+        if reply.status < 400:
+            return json.loads(raw)
+        payload: dict[str, Any] = {}
+        with contextlib.suppress(json.JSONDecodeError, UnicodeDecodeError):
+            payload = json.loads(raw)
+        if reply.status in (429, 503):
+            retry_after = payload.get(
+                "retry_after_s", reply.getheader("Retry-After", 1)
+            )
+            raise Backpressure(float(retry_after))
+        raise ClientError(reply.status, str(payload.get("error") or reply.reason))
 
     # -- verbs ------------------------------------------------------------
 
@@ -112,15 +124,21 @@ class ServeClient:
         """Job status for a key."""
         return self._call("GET", f"/v1/jobs/{key}")
 
-    def result(self, key: str) -> dict[str, Any]:
+    def result(self, key: str, wait: Optional[float] = None) -> dict[str, Any]:
         """The completed result payload for a key.
+
+        With ``wait``, the server first waits up to that many seconds
+        (it caps the wait) for an in-flight job to finish.
 
         Raises:
             JobFailed: the server reports the job failed.
-            ClientError: the key is unknown or still in flight.
+            ClientError: the key is unknown (404) or still in flight (409).
         """
+        path, timeout = f"/v1/result/{key}", None
+        if wait is not None:
+            path, timeout = f"{path}?wait={wait}", self.timeout + wait
         try:
-            return self._call("GET", f"/v1/result/{key}")
+            return self._call("GET", path, timeout=timeout)
         except ClientError as error:
             if error.status == 500:
                 raise JobFailed(str(error)) from None
@@ -137,24 +155,13 @@ class ServeClient:
 
     # -- convenience ------------------------------------------------------
 
-    def run(
-        self,
-        request: dict[str, Any],
-        timeout: float = 120.0,
-        poll_interval: Optional[float] = None,
-    ) -> dict[str, Any]:
+    def run(self, request: dict[str, Any], timeout: float = 120.0) -> dict[str, Any]:
         """Submit and block until the result payload is available.
 
         Retries backpressured submits (honouring ``Retry-After``,
-        fractional values included) and polls the job until done, all
-        within ``timeout`` seconds.  Polling backs off exponentially
-        with jitter — starting at ``poll_interval`` (default 20ms) and
-        doubling to a 1s cap — instead of hammering a fixed 50ms loop;
-        a long simulation costs the server O(log) status probes rather
-        than thousands.  Every sleep is clamped to the remaining
-        deadline, and :class:`TimeoutError` is raised *before* a sleep
-        that could not be answered in time, so ``run`` never blocks
-        past ``timeout``.
+        fractional values included), then long-polls the result, each
+        wait bounded by the time left, so ``run`` never blocks past
+        ``timeout``.  A cached submit is fetched without waiting.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -169,21 +176,14 @@ class ServeClient:
                     ) from None
                 time.sleep(wait)
         key = ticket["job"]
-        delay = POLL_INITIAL_S if poll_interval is None else poll_interval
+        if ticket["status"] == "done":
+            return self.result(key)
         while True:
-            status = self.poll(key)["status"]
-            if status == "done":
-                return self.result(key)
-            if status == "failed":
-                raise JobFailed(self.poll(key).get("error") or "job failed")
-            if status == "unknown":
-                raise ClientError(404, f"job {key} disappeared")
-            now = time.monotonic()
-            if now >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise TimeoutError(f"job {key} not done after {timeout}s")
-            wait = min(
-                delay * self.rng.uniform(POLL_JITTER_LOW, 1.0),
-                deadline - now,
-            )
-            time.sleep(max(0.0, wait))
-            delay = min(delay * POLL_GROWTH, POLL_MAX_S)
+            try:
+                return self.result(key, wait=remaining)
+            except ClientError as error:
+                if error.status != 409:
+                    raise

@@ -15,7 +15,10 @@ a local/cluster-internal tool, not an internet-facing one.  Endpoints:
                                 / ``done`` / ``failed`` / ``unknown``).
 ``GET /v1/result/<key>``        → the stored result payload; ``404``
                                 unknown, ``409`` still in flight,
-                                ``500`` failed.
+                                ``500`` failed.  ``?wait=S`` first
+                                waits up to ``S`` s (at most
+                                :data:`MAX_WAIT_S`) for an in-flight
+                                job; ``400`` for a malformed ``S``.
 ``GET /healthz``                → liveness + queue depth.
 ``GET /metrics``                → the service metrics snapshot
                                 (:class:`repro.obs.MetricsRegistry`),
@@ -25,6 +28,9 @@ a local/cluster-internal tool, not an internet-facing one.  Endpoints:
 
 Result payloads come straight from the store, so every client of one
 key receives byte-identical JSON bodies.
+
+Connections are HTTP/1.1 keep-alive, with Nagle's algorithm off so no
+reply waits on the client's delayed ACK.
 
 Every request is assigned a telemetry trace ID at ingress, echoed back
 in an ``X-Trace-Id`` response header (and in the submit body), and —
@@ -50,6 +56,9 @@ MAX_BODY_BYTES = 1 << 20
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Longest a ``?wait=`` long-poll holds its connection.
+MAX_WAIT_S = 30.0
 
 
 def format_retry_after(retry_after_s: float) -> str:
@@ -84,8 +93,22 @@ class ServeHTTPServer(ThreadingHTTPServer):
         self.service = service
 
 
+def _parse_wait(query: str) -> float:
+    """Seconds a ``wait=S`` query holds the reply, capped at :data:`MAX_WAIT_S`."""
+    name, _, value = query.partition("=")
+    try:
+        wait = float(value) if query else 0.0
+    except ValueError:
+        wait = -1.0
+    if (query and name != "wait") or not wait >= 0:  # NaN fails too
+        raise RequestError(f"expected ?wait=SECONDS, got ?{query}")
+    return min(wait, MAX_WAIT_S)
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: ServeHTTPServer
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
 
@@ -148,6 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             raise RequestError("request body required")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body ends this stream
             raise RequestError(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
@@ -160,6 +184,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self._begin()
         if self.path != "/v1/submit":
+            self.close_connection = True  # its body is left unread
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
         service = self.server.service
@@ -210,18 +235,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, service.status(key))
             return
         if self.path.startswith("/v1/result/"):
-            key = self.path[len("/v1/result/"):]
+            key, _, query = self.path[len("/v1/result/"):].partition("?")
+            try:
+                wait = _parse_wait(query)
+            except RequestError as error:
+                self._send_json(400, {"error": str(error)})
+                return
+            service.wait(key, wait)
             payload = service.result(key)
             if payload is not None:
                 self._send_json(200, payload)
                 return
             status = service.status(key)
-            if status["status"] in ("pending", "running"):
-                self._send_json(409, status)
-            elif status["status"] == "failed":
-                self._send_json(500, status)
-            else:
-                self._send_json(404, status)
+            code = {"pending": 409, "running": 409, "failed": 500}
+            self._send_json(code.get(status["status"], 404), status)
             return
         self._send_json(404, {"error": f"unknown path {self.path}"})
 

@@ -10,8 +10,9 @@ reports throughput + exact latency percentiles per mix:
   content-addressed cache tier.
 * **scan** — grid scans: each request evaluates a *different* sparsity
   point of the same kernel/machine (shared ``batch_key``; the 10 x 10
-  grid repeats after 100 requests), so closely-spaced submits coalesce
-  into wide micro-batches.  Exercises batch formation.
+  grid repeats after 100 requests), so submits that queue behind a
+  running batch coalesce into wide micro-batches.  Exercises batch
+  formation.
 * **cold** — cold misses: every request carries a distinct kernel seed,
   so nothing dedups, nothing batches and nothing is cached.  Exercises
   raw per-request simulation cost.
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import socket
 import sys
 import threading
 import time
@@ -210,13 +210,9 @@ class self_hosted_server:  # noqa: N801 - context manager reads like a helper
     ``--url`` is given.
     """
 
-    def __init__(
-        self, store_dir: str, jobs: Optional[int] = None,
-        batch_window_s: float = 0.01,
-    ) -> None:
+    def __init__(self, store_dir: str, jobs: Optional[int] = None) -> None:
         self.store_dir = store_dir
         self.jobs = jobs
-        self.batch_window_s = batch_window_s
         self._service: Any = None
         self._server: Any = None
         self._thread: Optional[threading.Thread] = None
@@ -225,23 +221,15 @@ class self_hosted_server:  # noqa: N801 - context manager reads like a helper
         from repro.serve.http import make_server
         from repro.serve.service import ServeConfig, SimService
 
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        config = ServeConfig(
-            host="127.0.0.1",
-            port=port,
-            jobs=self.jobs,
-            store_dir=self.store_dir,
-            batch_window_s=self.batch_window_s,
-        )
+        config = ServeConfig(port=0, jobs=self.jobs, store_dir=self.store_dir)
         self._service = SimService(config).start()
         self._server = make_server(self._service)
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="loadgen-server", daemon=True
         )
         self._thread.start()
-        return f"http://127.0.0.1:{port}"
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
 
     def __exit__(self, *exc_info: object) -> None:
         if self._server is not None:

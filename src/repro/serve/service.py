@@ -74,12 +74,6 @@ class ServeConfig:
     queue_limit: int = 64
     #: ``Retry-After`` hint handed to backpressured clients.
     retry_after_s: float = 1.0
-    #: Dispatcher linger after the first pending job, letting closely
-    #: spaced requests coalesce into one batch.  ``0`` batches only
-    #: what is already queued.
-    batch_window_s: float = 0.0
-    #: Upper bound on requests drained into one dispatch round.
-    max_batch_requests: int = 32
     #: Seconds :meth:`SimService.close` waits for in-flight work.
     drain_timeout_s: float = 60.0
     #: Cadence of the telemetry sampler thread (queue depth,
@@ -89,10 +83,8 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.queue_limit <= 0:
             raise ValueError("queue_limit must be positive")
-        if self.max_batch_requests <= 0:
-            raise ValueError("max_batch_requests must be positive")
-        if self.batch_window_s < 0 or self.retry_after_s < 0:
-            raise ValueError("windows and delays must be non-negative")
+        if self.retry_after_s < 0:
+            raise ValueError("retry_after_s must be non-negative")
         if self.telemetry_interval_s <= 0:
             raise ValueError("telemetry_interval_s must be positive")
 
@@ -139,7 +131,7 @@ class SimService:
     """Queue + dedup + batching on top of a :class:`SimExecutor`.
 
     Args:
-        config: service tuning (queue bound, batching window, ...).
+        config: service tuning (queue bound, retry hint, ...).
         store: result store (defaults to one at ``config.store_dir``).
         executor: simulation backend; defaults to a *persistent*
             executor sized by ``config.jobs`` so a parallel pool
@@ -371,6 +363,14 @@ class SimService:
         """The stored payload for a completed key, else ``None``."""
         return self.store.get(key)
 
+    def wait(self, key: str, timeout: float) -> None:
+        """Block until ``key``'s in-flight job ends or ``timeout`` passes
+        (at once for a stored, failed or unknown key)."""
+        with self._cv:
+            job = self._inflight.get(key)
+        if job is not None:
+            job.wait(timeout)
+
     def metrics_snapshot(self) -> dict[str, Any]:
         """The metrics snapshot with latency-percentile gauges current.
 
@@ -396,38 +396,23 @@ class SimService:
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
+        """Run batches until stopped.  There is no linger: a batch is
+        everything that queued while the previous batch ran."""
         while True:
             with self._cv:
                 while not self._stop and (self._paused or not self._queue):
                     self._cv.wait(0.05)
                 if self._stop and not self._queue:
                     return
-                if self._paused and not self._stop:
-                    continue
-                batch = self._drain_batch_locked()
-            if self.config.batch_window_s > 0:
-                # Linger so closely spaced submits join this round.
-                time.sleep(self.config.batch_window_s)
-                with self._cv:
-                    batch.extend(self._drain_batch_locked(
-                        self.config.max_batch_requests - len(batch)
-                    ))
-            if batch:
-                self._process(batch)
-
-    def _drain_batch_locked(self, limit: Optional[int] = None) -> list[Job]:
-        if limit is None:
-            limit = self.config.max_batch_requests
-        batch: list[Job] = []
-        now = time.monotonic()
-        while self._queue and len(batch) < limit:
-            job = self._queue.popleft()
-            job.state = "running"
-            job.dequeued_at = now
-            batch.append(job)
-        self._active += len(batch)
-        self.metrics.gauge("serve.queue_depth").set(len(self._queue))
-        return batch
+                batch = list(self._queue)
+                self._queue.clear()
+                now = time.monotonic()
+                for job in batch:
+                    job.state = "running"
+                    job.dequeued_at = now
+                self._active += len(batch)
+                self.metrics.gauge("serve.queue_depth").set(0)
+            self._process(batch)
 
     def _process(self, batch: list[Job]) -> None:
         groups: OrderedDict[str, list[Job]] = OrderedDict()
@@ -487,8 +472,8 @@ class SimService:
             self.telemetry.record_phase(
                 trace, "queue_wait", dequeued - job.submitted_at
             )
-            # batch_form covers dequeue-to-simulation: batch-window
-            # linger plus group assembly.
+            # batch_form covers dequeue-to-simulation: group assembly
+            # plus earlier groups of the same round simulating.
             self.telemetry.record_phase(trace, "batch_form", sim_start - dequeued)
         timed = hasattr(self.executor, "map_timed") and not getattr(
             self.executor, "instrumented", False

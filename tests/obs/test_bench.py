@@ -174,7 +174,7 @@ class TestLayers:
         assert "layers" not in delta
 
 
-def _serve_entry(p95_by_mix, wall=1.0):
+def _serve_entry(p95_by_mix, wall=1.0, p99_by_mix=None):
     entry = _entry(wall=wall)
     workload = entry["workloads"].pop("single_save_point")
     workload["mixes"] = {
@@ -183,7 +183,7 @@ def _serve_entry(p95_by_mix, wall=1.0):
             "throughput_rps": 100.0,
             "p50_ms": p95 / 2,
             "p95_ms": p95,
-            "p99_ms": p95 * 1.5,
+            "p99_ms": (p99_by_mix or {}).get(mix, p95 * 1.5),
         }
         for mix, p95 in p95_by_mix.items()
     }
@@ -236,6 +236,29 @@ class TestCompareMixes:
             _serve_entry({"hot": 40.0}), _serve_entry({"hot": 10.0})
         )
         assert not deltas[0]["regressed"]
+
+    def test_single_mix_p99_regression_fails_workload(self):
+        # p95 is flat; only the hot mix's slowest 1% blew up.
+        deltas = compare_entries(
+            _serve_entry({"hot": 10.0, "cold": 30.0}),
+            _serve_entry(
+                {"hot": 10.0, "cold": 30.0}, p99_by_mix={"hot": 1000.0}
+            ),
+        )
+        assert deltas[0]["status"] == "regressed"
+        by_mix = {mix["mix"]: mix for mix in deltas[0]["mixes"]}
+        assert by_mix["hot"]["regressed"]
+        assert by_mix["hot"]["change"] == 0.0
+        assert by_mix["hot"]["p99_change"] == pytest.approx(1000 / 15 - 1, abs=1e-4)
+        assert not by_mix["cold"]["regressed"]
+
+    def test_p99_gate_uses_the_mix_threshold(self):
+        previous = _serve_entry({"hot": 10.0}, p99_by_mix={"hot": 20.0})
+        current = _serve_entry({"hot": 10.0}, p99_by_mix={"hot": 25.0})  # +25%
+        assert compare_entries(previous, current)[0]["regressed"]
+        assert not compare_entries(previous, current, mix_threshold=0.3)[0][
+            "regressed"
+        ]
 
 
 class TestBenchMain:

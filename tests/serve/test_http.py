@@ -4,9 +4,11 @@ The acceptance scenario lives here: concurrent identical submits
 trigger exactly one simulation and every client reads byte-identical
 result bodies; a resubmit against a *restarted* service is served from
 the on-disk store without re-simulating; the queue backpressures with
-429 + ``Retry-After``; shutdown drains cleanly.
+429 + ``Retry-After``; shutdown drains cleanly.  ``?wait=`` long-polls
+and kept-alive connections are covered against the same live stack.
 """
 
+import http.client
 import json
 import socket
 import threading
@@ -16,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve.client import Backpressure, ClientError, ServeClient
+from repro.serve.client import Backpressure, ClientError, JobFailed, ServeClient
 from repro.serve.http import make_server
 from repro.serve.service import ServeConfig, SimService
 
@@ -37,12 +39,10 @@ def body(bs=0.3, nbs=0.6, **overrides):
 class LiveService:
     """A service + HTTP server on an ephemeral port, as a context."""
 
-    def __init__(self, tmp_path, **config_overrides):
-        defaults = dict(
-            port=0, store_dir=tmp_path, batch_window_s=0.0, drain_timeout_s=30.0
-        )
+    def __init__(self, tmp_path, executor=None, **config_overrides):
+        defaults = dict(port=0, store_dir=tmp_path, drain_timeout_s=30.0)
         defaults.update(config_overrides)
-        self.service = SimService(ServeConfig(**defaults))
+        self.service = SimService(ServeConfig(**defaults), executor=executor)
         self.server = None
         self.thread = None
         self.base_url = None
@@ -225,3 +225,157 @@ class TestListenBacklog:
                 sock.close()
             server.server_close()
             service.close()
+
+
+class ExplodingExecutor:
+    def map(self, jobs):
+        raise RuntimeError("boom")
+
+    def close(self):
+        pass
+
+
+def waiter(client, key, wait):
+    """Start ``client.result(key, wait=...)`` on a thread; read ``.outcome``."""
+
+    def run():
+        try:
+            thread.outcome = client.result(key, wait=wait)
+        except Exception as error:  # noqa: BLE001 - asserted by the caller
+            thread.outcome = error
+
+    thread = threading.Thread(target=run)
+    thread.outcome = None
+    thread.start()
+    return thread
+
+
+class TestLongPoll:
+    def test_waiter_returns_promptly_after_resume(self, tmp_path):
+        with LiveService(tmp_path) as live:
+            live.service.pause()
+            key = live.client().submit(body())["job"]
+            pending = waiter(live.client(), key, wait=5)
+            time.sleep(0.2)
+            assert pending.is_alive()  # held by the server, not answered 409
+            resumed = time.perf_counter()
+            live.service.resume()
+            pending.join(timeout=10)
+            assert not pending.is_alive()
+            assert time.perf_counter() - resumed < 3.0
+            assert pending.outcome["key"] == key
+
+    def test_wait_expires_with_409_while_paused(self, tmp_path):
+        with LiveService(tmp_path) as live:
+            live.service.pause()
+            client = live.client()
+            key = client.submit(body())["job"]
+            start = time.perf_counter()
+            with pytest.raises(ClientError) as exc:
+                client.result(key, wait=0.3)
+            assert exc.value.status == 409
+            assert 0.3 <= time.perf_counter() - start < 3.0
+            live.service.resume()
+
+    def test_unknown_key_is_404_without_waiting(self, tmp_path):
+        with LiveService(tmp_path) as live:
+            start = time.perf_counter()
+            with pytest.raises(ClientError) as exc:
+                live.client().result("f" * 24, wait=5)
+            assert exc.value.status == 404
+            assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "query", ["wait=abc", "wait=-1", "wait=nan", "wait=", "wait=1&wait=2", "w=1"]
+    )
+    def test_bad_wait_is_400(self, tmp_path, query):
+        with LiveService(tmp_path) as live:
+            with pytest.raises(ClientError) as exc:
+                live.client()._call("GET", f"/v1/result/{'f' * 24}?{query}")
+            assert exc.value.status == 400
+
+    def test_failed_job_is_500_without_waiting_out_the_timeout(self, tmp_path):
+        with LiveService(tmp_path, executor=ExplodingExecutor()) as live:
+            live.service.pause()
+            client = live.client()
+            key = client.submit(body())["job"]
+            pending = waiter(client, key, wait=10)
+            time.sleep(0.2)
+            start = time.perf_counter()
+            live.service.resume()
+            pending.join(timeout=15)
+            assert not pending.is_alive()
+            assert time.perf_counter() - start < 3.0
+            assert isinstance(pending.outcome, JobFailed)
+            assert "boom" in str(pending.outcome)
+            # Asked again once failed, the answer is immediate.
+            start = time.perf_counter()
+            with pytest.raises(JobFailed):
+                client.result(key, wait=10)
+            assert time.perf_counter() - start < 1.0
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Count client-side TCP connects."""
+    counted = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(self):
+        counted.append(self)
+        connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return counted
+
+
+class TestKeepAlive:
+    RUNS = 100
+
+    def test_cached_runs_reuse_one_connection_quickly(self, tmp_path, connects):
+        # With Nagle on either side each exchange waits out a delayed
+        # ACK (~40-90 ms), so 100 runs would take seconds, not < 1 s.
+        request = body()
+        with LiveService(tmp_path) as live:
+            client = live.client()
+            client.run(request, timeout=30)
+            start = time.perf_counter()
+            for _ in range(self.RUNS):
+                client.run(request, timeout=30)
+            elapsed = time.perf_counter() - start
+            assert len(connects) == 1
+            assert elapsed < 1.0, f"{self.RUNS} cached runs took {elapsed:.2f}s"
+
+    def test_reconnects_after_the_server_drops_the_connection(
+        self, tmp_path, connects
+    ):
+        with LiveService(tmp_path) as live:
+            accepted = []
+            get_request = live.server.get_request
+
+            def recording():
+                conn, address = get_request()
+                accepted.append(conn)
+                return conn, address
+
+            live.server.get_request = recording
+            client = live.client()
+            first = client.run(body(), timeout=30)
+            assert len(accepted) == 1
+            accepted[0].shutdown(socket.SHUT_RDWR)
+            assert client.run(body(), timeout=30) == first
+            assert len(connects) == 2
+
+    def test_shutdown_is_prompt_with_an_idle_client(self, tmp_path):
+        live = LiveService(tmp_path).__enter__()
+        try:
+            client = live.client()
+            client.run(body(), timeout=30)
+            assert client._local.conn.sock is not None  # kept alive, idle
+            start = time.perf_counter()
+            live.server.shutdown()
+            live.server.server_close()
+            assert time.perf_counter() - start < 2.0
+        finally:
+            live.thread.join(timeout=10)
+            live.service.close()

@@ -1,6 +1,7 @@
 """Tests for the service core: dedup, batching, caching, drain."""
 
 import threading
+import time
 
 import pytest
 
@@ -28,7 +29,7 @@ def body(bs=0.3, nbs=0.6, **overrides):
 
 
 def make_service(tmp_path, **config_overrides):
-    defaults = dict(store_dir=tmp_path, batch_window_s=0.0, drain_timeout_s=30.0)
+    defaults = dict(store_dir=tmp_path, drain_timeout_s=30.0)
     defaults.update(config_overrides)
     return SimService(ServeConfig(**defaults))
 
@@ -234,6 +235,22 @@ class TestBackpressureAndDrain:
             service.submit(parse_request(body()))
         assert service.health()["status"] == "draining"
         service.close()
+
+    def test_wait_blocks_only_on_in_flight_keys(self, tmp_path):
+        with make_service(tmp_path) as service:
+            service.pause()
+            job, _ = service.submit(parse_request(body()))
+            start = time.perf_counter()
+            service.wait(job.key, 0.2)  # in flight: waits the timeout out
+            assert time.perf_counter() - start >= 0.2
+            assert job.state == "pending"
+            threading.Timer(0.1, service.resume).start()
+            service.wait(job.key, 30)  # returns when the job finishes
+            assert job.state == "done"
+            start = time.perf_counter()
+            service.wait(job.key, 30)  # stored
+            service.wait("f" * 24, 30)  # unknown
+            assert time.perf_counter() - start < 1.0
 
     def test_failed_jobs_report_their_error(self, tmp_path):
         class ExplodingExecutor:

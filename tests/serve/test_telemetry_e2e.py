@@ -38,7 +38,7 @@ def body(bs=0.3, nbs=0.6, **overrides):
 def telemetry_service(tmp_path, *, ring=False, executor=None,
                       **config_overrides):
     defaults = dict(
-        store_dir=tmp_path / "store", batch_window_s=0.0, drain_timeout_s=30.0
+        store_dir=tmp_path / "store", drain_timeout_s=30.0
     )
     defaults.update(config_overrides)
     log_path = tmp_path / "req.jsonl"
