@@ -2,9 +2,10 @@
 
 The reproduction's headline claims rest on invariants that unit tests
 can only sample: the cycle-accurate core must stay deterministic
-(parallel == serial bit-for-bit), every trace event the simulator emits
-must match the versioned schema in :mod:`repro.obs.trace`, and the
-threaded serving layer must touch shared state only under its locks.
+(parallel == serial bit-for-bit), every metric a consumer reads must
+have a producer, and the threaded serving layer must touch shared
+state only under its locks.  (Trace and request-log events need no
+rule: they are typed records in :mod:`repro.obs.events`.)
 This package machine-checks those invariants on every change with a
 whole-program analysis engine over ``src/``:
 
@@ -18,9 +19,9 @@ whole-program analysis engine over ``src/``:
   re-runs only re-parse changed files.
 * :mod:`repro.check.determinism` — wall-clock reads, unseeded RNGs,
   hash-order-dependent logic and float equality in simulation code.
-* :mod:`repro.check.schema_drift` — cross-checks ``Instrumentation``
-  emit sites and ``MetricsRegistry`` instrument names against the
-  trace schema and its consumers, in both directions.
+* :mod:`repro.check.schema_drift` — every metric name a consumer
+  reads has a ``MetricsRegistry`` producer, and the sweep store's
+  column/query tables agree with its readers.
 * :mod:`repro.check.locks` — attribute writes outside the owning
   lock, lock-free calls to ``*_locked`` helpers (call-graph-aware),
   and bare ``acquire()`` without try/finally.

@@ -81,7 +81,7 @@ _GRAPH_SCOPE = (
     "repro/serve/",
     "repro/fsio.py",
     "repro/store/",
-    "repro/obs/telemetry.py",
+    "repro/obs/events.py",
 )
 
 

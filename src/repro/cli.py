@@ -240,9 +240,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # under a non-'all' run — flushes and closes the trace file
         # rather than leaving a truncated last line behind.
         if args.trace:
-            from repro.obs import JsonlTraceSink
+            from repro.obs import EventWriter
 
-            sink = JsonlTraceSink(args.trace)
+            sink = EventWriter(args.trace)
         executor = SimExecutor(
             jobs=args.jobs, metrics=registry, trace_sink=sink, spans=spans
         )
@@ -296,9 +296,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         events = None
         if args.trace:
-            from repro.obs import read_jsonl
+            from repro.obs import SimEvent, read_events
 
-            events = list(read_jsonl(args.trace))
+            try:
+                events = list(read_events(args.trace, SimEvent))
+            except (OSError, ValueError) as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 2
         write_chrome_trace(
             args.chrome_trace,
             spans=spans.records if spans is not None else None,

@@ -29,6 +29,7 @@ from repro.isa.uops import MemOperand
 from repro.memory.broadcast_cache import BroadcastCache, BroadcastCacheKind
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Instrumentation
+from repro.obs.events import BcacheHit, BcacheMiss
 
 
 @dataclass
@@ -146,14 +147,13 @@ class LoadStoreUnit:
                 b_ports_left -= 1
                 self._broadcast_queue.popleft()
                 if obs is not None:
-                    name = "bcache_hit" if result.hit else "bcache_miss"
                     obs.metrics.counter(
                         "bcache_hits" if result.hit else "bcache_misses"
                     ).inc()
                     if obs.tracing:
                         obs.emit(
+                            BcacheHit if result.hit else BcacheMiss,
                             cycle,
-                            name,
                             addr=request.operand.addr,
                             zero=result.value_is_zero,
                             l1_access=result.l1_access,

@@ -70,6 +70,16 @@ from repro.kernels.trace import DEFAULT_CHUNK, KernelTrace
 from repro.memory.broadcast_cache import BroadcastCache, BroadcastCacheKind
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs import Instrumentation
+from repro.obs.events import (
+    BsSkip,
+    ChainAppend,
+    Dispatch,
+    Elm,
+    Issue,
+    LwdStall,
+    Merge,
+    Retire,
+)
 from repro.obs.metrics import log2_bucket
 
 
@@ -170,7 +180,7 @@ class PipelineSimulator:
         self.max_cycles = max_cycles
         # Observability: ``None`` (the default) keeps every hook to one
         # pointer comparison; ``_tracing`` additionally gates event
-        # assembly so metrics-only runs never build event dicts.
+        # assembly so metrics-only runs never build event records.
         self.obs = obs
         self._tracing = obs is not None and obs.tracing
         if obs is not None and not obs.kernel:
@@ -441,7 +451,7 @@ class PipelineSimulator:
                 self._refill()
             if self._tracing:
                 self.obs.emit(
-                    cycle, "dispatch", seq=dyn.seq, kind=uop.kind.name.lower()
+                    Dispatch, cycle, seq=dyn.seq, kind=uop.kind.name.lower()
                 )
             self._rename(dyn)
             self.prf.on_rename(dyn)
@@ -609,7 +619,7 @@ class PipelineSimulator:
                     self.obs.metrics.counter("lwd_stalls").inc(popcount(blocked))
                     if self._tracing:
                         for lane in lanes_of(blocked):
-                            self.obs.emit(self.cycle, "lwd_stall", seq=dyn.seq, lane=lane)
+                            self.obs.emit(LwdStall, self.cycle, seq=dyn.seq, lane=lane)
                 if not lanes:
                     return
         elif not dyn.acc_fully_available():
@@ -710,8 +720,8 @@ class PipelineSimulator:
                 chain.append(dyn, 1)
             if self._tracing:
                 self.obs.emit(
+                    ChainAppend,
                     self.cycle,
-                    "chain_append",
                     seq=dyn.seq,
                     root=root.seq,
                     lane=lane,
@@ -843,9 +853,9 @@ class PipelineSimulator:
         if dyn.elm == 0:
             m.counter("bs_skips").inc()
         if self._tracing:
-            self.obs.emit(self.cycle, "elm", seq=dyn.seq, elm=dyn.elm)
+            self.obs.emit(Elm, self.cycle, seq=dyn.seq, elm=dyn.elm)
             if dyn.elm == 0:
-                self.obs.emit(self.cycle, "bs_skip", seq=dyn.seq)
+                self.obs.emit(BsSkip, self.cycle, seq=dyn.seq)
 
     def _note_issue(self, op: TempOp) -> None:
         """VPU op issued: lane-occupancy distribution plus merge detail."""
@@ -855,7 +865,14 @@ class PipelineSimulator:
         if not self._tracing:
             return
         cycle = op.issue_cycle
-        self.obs.emit(cycle, "issue", **op.describe())
+        self.obs.emit(
+            Issue,
+            cycle,
+            kind=op.kind.name.lower(),
+            lanes=op.lane_count(),
+            uops=op.uop_count(),
+            latency=op.latency,
+        )
         if op.kind == TempOpKind.WHOLE:
             return
         scheme = self.scheme.name.lower() if self.scheme is not None else "baseline"
@@ -878,7 +895,7 @@ class PipelineSimulator:
                     "mls": [[dyn.seq, p] for dyn, p in mls],
                 }
             )
-        self.obs.emit(cycle, "merge", scheme=scheme, entries=entries)
+        self.obs.emit(Merge, cycle, scheme=scheme, entries=entries)
 
     def _note_retire(self, dyn: DynUop) -> None:
         """Per-stage cycle attribution, recorded once at retirement."""
@@ -894,7 +911,7 @@ class PipelineSimulator:
                     self.cycle - dyn.complete_cycle
                 )
         if self._tracing:
-            self.obs.emit(self.cycle, "retire", seq=dyn.seq)
+            self.obs.emit(Retire, self.cycle, seq=dyn.seq)
 
     def _issue_scalars(self, cycle: int) -> None:
         for _ in range(min(self.config.core.scalar_ports, len(self._scalar_queue))):

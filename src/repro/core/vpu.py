@@ -84,15 +84,6 @@ class TempOp:
             {dyn.seq for _chain, mls, _acc in self.chain_entries for dyn, _p in mls}
         )
 
-    def describe(self) -> dict:
-        """Flat summary for ``issue`` trace events."""
-        return {
-            "kind": self.kind.name.lower(),
-            "lanes": self.lane_count(),
-            "uops": self.uop_count(),
-            "latency": self.latency,
-        }
-
 
 def products(dyn: DynUop) -> np.ndarray:
     """The µop's float32 products ``a * b``, computed once."""

@@ -6,10 +6,11 @@ layer (see ``docs/architecture.md`` § Observability):
 * :mod:`repro.obs.metrics` — counters / gauges / histograms in a
   :class:`MetricsRegistry`, with picklable snapshots that merge
   deterministically across worker processes.
-* :mod:`repro.obs.trace` — per-cycle structured events (dispatch, ELM
+* :mod:`repro.obs.events` — typed, frozen event records (dispatch, ELM
   generation, BS skip, VC/RVC merges with rotation state, LWD stalls,
-  B$ hits/misses, retire) through a pluggable :class:`TraceSink`;
-  :class:`JsonlTraceSink` writes schema-validated JSONL.
+  B$ hits/misses, retire; and the serve request lifecycle) delivered
+  through a pluggable :class:`TraceSink`.  :class:`EventWriter` is the
+  one JSONL writer and :func:`read_events` the one strict reader.
 * :class:`Instrumentation` — the bundle a simulation carries.  Pass
   one to :func:`repro.core.pipeline.simulate` (or set ``metrics`` /
   ``trace_sink`` on a :class:`repro.experiments.executor.SimExecutor`)
@@ -26,7 +27,7 @@ And the analysis-and-ledger layer on top of it:
 * :mod:`repro.obs.bench` — the ``BENCH_<seq>.json`` performance ledger
   behind ``repro bench``.
 * :mod:`repro.obs.telemetry` — serve-path request-lifecycle telemetry:
-  the versioned request log (trace IDs from HTTP ingress through the
+  the request log (trace IDs from HTTP ingress through the
   process-pool boundary), exact latency percentiles, the bounded
   on-disk metrics ring, and Prometheus text exposition.
 * :mod:`repro.obs.servereport` — offline request-log analytics
@@ -48,59 +49,46 @@ from repro.obs.metrics import (
     log2_bucket,
 )
 from repro.obs.spans import SpanRecord, SpanRecorder, maybe_span, phase_table
+from repro.obs.events import (
+    EVENT_SCHEMA_VERSION,
+    NULL_SINK,
+    EventWriter,
+    ListSink,
+    NullSink,
+    SimEvent,
+    TraceFormatError,
+    TraceSink,
+    read_events,
+)
 from repro.obs.telemetry import (
     LATENCY_PHASES,
     LATENCY_QUANTILES,
-    NULL_REQUEST_LOG,
-    REQLOG_SCHEMA_VERSION,
-    REQUEST_EVENT_FIELDS,
     LatencyRecorder,
-    NullRequestLog,
-    RequestLog,
     ServeTelemetry,
     exact_percentile,
     new_trace_id,
-    read_request_log,
     render_prometheus,
-    validate_request_event,
     wants_prometheus,
-)
-from repro.obs.trace import (
-    EVENT_FIELDS,
-    NULL_SINK,
-    TRACE_SCHEMA_VERSION,
-    JsonlTraceSink,
-    ListSink,
-    NullSink,
-    TraceFormatError,
-    TraceSink,
-    read_jsonl,
-    validate_event,
 )
 
 __all__ = [
     "Counter",
-    "EVENT_FIELDS",
+    "EVENT_SCHEMA_VERSION",
+    "EventWriter",
     "Gauge",
     "Histogram",
     "Instrumentation",
-    "JsonlTraceSink",
     "LATENCY_PHASES",
     "LATENCY_QUANTILES",
     "LatencyRecorder",
     "ListSink",
     "MetricsRegistry",
-    "NULL_REQUEST_LOG",
     "NULL_SINK",
-    "NullRequestLog",
     "NullSink",
-    "REQLOG_SCHEMA_VERSION",
-    "REQUEST_EVENT_FIELDS",
-    "RequestLog",
     "ServeTelemetry",
+    "SimEvent",
     "SpanRecord",
     "SpanRecorder",
-    "TRACE_SCHEMA_VERSION",
     "TraceFormatError",
     "TraceSink",
     "exact_percentile",
@@ -110,11 +98,8 @@ __all__ = [
     "maybe_span",
     "new_trace_id",
     "phase_table",
-    "read_jsonl",
-    "read_request_log",
+    "read_events",
     "render_prometheus",
-    "validate_event",
-    "validate_request_event",
     "wants_prometheus",
 ]
 
@@ -127,7 +112,7 @@ class Instrumentation:
         sink: structured-event consumer.
         tracing: precomputed "is the sink real" flag — the pipeline
             guards event assembly behind it so a metrics-only run never
-            pays event-dict construction.
+            pays record construction.
         kernel: label stamped on every emitted event (set by the
             pipeline to the trace name).
         mechanism: skip-mechanism label stamped on every emitted event
@@ -146,17 +131,17 @@ class Instrumentation:
     ) -> None:
         self.metrics = MetricsRegistry() if metrics is None else metrics
         self.sink = NULL_SINK if sink is None else sink
-        self.tracing = not isinstance(self.sink, NullSink)
+        self.tracing = self.sink.enabled
         self.kernel = kernel
         self.mechanism = mechanism
 
-    def emit(self, cycle: int, event: str, **fields: Any) -> None:
-        """Stamp the common fields and forward one event to the sink."""
-        fields["cycle"] = cycle
-        fields["event"] = event
-        fields["kernel"] = self.kernel
-        fields["mechanism"] = self.mechanism
-        self.sink.emit(fields)
+    def emit(self, record_type: type[SimEvent], cycle: int, **fields: Any) -> None:
+        """Build one stamped ``record_type`` record and forward it to the sink."""
+        self.sink.emit(
+            record_type(
+                cycle=cycle, kernel=self.kernel, mechanism=self.mechanism, **fields
+            )
+        )
 
     def snapshot(self) -> dict[str, Any]:
         """The metrics snapshot (picklable plain dict)."""

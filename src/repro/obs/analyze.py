@@ -3,8 +3,8 @@
 The paper argues its case through *derived* signals — combination-window
 occupancy, coalescing width, broadcast-cache hit rate, per-component
 attribution (Figs. 14-19) — not raw event dumps.  This module rebuilds
-those signals from a :class:`repro.obs.trace.JsonlTraceSink` file (or
-any iterable of schema-valid events):
+those signals from a JSONL trace (:func:`repro.obs.events.read_events`)
+or any iterable of simulator records:
 
 * totals and rates (B$ hit rate, BS-skip fraction, LWD stalls/FMA),
 * a windowed timeline (per N-cycle interval: dispatch/issue/retire
@@ -30,7 +30,19 @@ from typing import Any, Optional
 from collections.abc import Iterable, Sequence
 
 from repro.isa.datatypes import FP32_LANES
-from repro.obs.trace import read_jsonl
+from repro.obs.events import (
+    BcacheHit,
+    BcacheMiss,
+    BsSkip,
+    Dispatch,
+    Elm,
+    Issue,
+    LwdStall,
+    Merge,
+    Retire,
+    SimEvent,
+    read_events,
+)
 
 __all__ = [
     "TraceAnalysis",
@@ -43,6 +55,18 @@ __all__ = [
 
 #: Default cap on timeline rows; the window size is derived from it.
 DEFAULT_MAX_WINDOWS = 40
+
+#: The per-window counter each record class increments (``Issue`` is
+#: handled separately: it adds an op and its lanes).
+_WINDOW_FIELD: dict[type, str] = {
+    Dispatch: "dispatches",
+    Retire: "retires",
+    Merge: "merges",
+    BsSkip: "bs_skips",
+    LwdStall: "lwd_stalls",
+    BcacheHit: "bcache_hits",
+    BcacheMiss: "bcache_misses",
+}
 
 
 @dataclass
@@ -113,7 +137,7 @@ class TraceAnalysis:
 
     @property
     def issue_ops(self) -> int:
-        return self.event_counts.get("issue", 0)
+        return self.event_counts.get(Issue.event, 0)
 
     @property
     def issue_lanes(self) -> int:
@@ -126,11 +150,11 @@ class TraceAnalysis:
 
     @property
     def bcache_hits(self) -> int:
-        return self.event_counts.get("bcache_hit", 0)
+        return self.event_counts.get(BcacheHit.event, 0)
 
     @property
     def bcache_misses(self) -> int:
-        return self.event_counts.get("bcache_miss", 0)
+        return self.event_counts.get(BcacheMiss.event, 0)
 
     @property
     def bcache_hit_rate(self) -> Optional[float]:
@@ -139,12 +163,12 @@ class TraceAnalysis:
 
     @property
     def fma_count(self) -> int:
-        return self.event_counts.get("elm", 0)
+        return self.event_counts.get(Elm.event, 0)
 
     @property
     def bs_skip_fraction(self) -> Optional[float]:
         return (
-            self.event_counts.get("bs_skip", 0) / self.fma_count
+            self.event_counts.get(BsSkip.event, 0) / self.fma_count
             if self.fma_count
             else None
         )
@@ -152,7 +176,7 @@ class TraceAnalysis:
     @property
     def lwd_stalls_per_fma(self) -> Optional[float]:
         return (
-            self.event_counts.get("lwd_stall", 0) / self.fma_count
+            self.event_counts.get(LwdStall.event, 0) / self.fma_count
             if self.fma_count
             else None
         )
@@ -216,13 +240,13 @@ def _dist_add(dist: dict, key, n: int = 1) -> None:
 
 
 def analyze_events(
-    events: Iterable[dict[str, Any]], window: Optional[int] = None
+    events: Iterable[SimEvent], window: Optional[int] = None
 ) -> TraceAnalysis:
-    """Analyse one event stream (one pass, bounded memory).
+    """Analyse one record stream (one pass, bounded memory).
 
     Args:
-        events: schema-valid trace events (``read_jsonl`` output or a
-            :class:`repro.obs.trace.ListSink`'s buffer).
+        events: simulator records (``read_events`` output or a
+            :class:`repro.obs.events.ListSink`'s buffer).
         window: timeline interval in cycles.  Default: the smallest
             round size giving at most :data:`DEFAULT_MAX_WINDOWS` rows.
     """
@@ -234,7 +258,7 @@ def analyze_events(
     schemes: dict[str, int] = {}
     kernels: dict[str, None] = {}
     busy_cycles_seen: set = set()
-    #: (timeline-cycle, event-kind, lanes) triples for the windowing pass.
+    #: (timeline-cycle, record-class, lanes) triples for the windowing pass.
     slim: list = []
     max_cycle = -1
     # Run concatenation: within one simulation, events arrive in
@@ -244,8 +268,8 @@ def analyze_events(
     runs = 0
 
     for event in events:
-        kind = event["event"]
-        raw_cycle = event["cycle"]
+        cls = type(event)
+        raw_cycle = event.cycle
         if last_raw < 0:
             runs = 1
         elif raw_cycle < last_raw:
@@ -255,24 +279,23 @@ def analyze_events(
         cycle = offset + raw_cycle
         if cycle > max_cycle:
             max_cycle = cycle
-        _dist_add(counts, kind)
-        kernels.setdefault(event.get("kernel", ""), None)
+        _dist_add(counts, cls.event)
+        kernels.setdefault(event.kernel, None)
         lanes = 0
-        if kind == "issue":
-            lanes = event.get("lanes", 0)
+        if isinstance(event, Issue):
+            lanes = event.lanes
             _dist_add(lanes_per_op, lanes)
             busy_cycles_seen.add(cycle)
-        elif kind == "merge":
-            entries = event.get("entries", ())
-            _dist_add(merge_widths, len(entries))
-            _dist_add(schemes, event.get("scheme", "?"))
-            for entry in entries:
+        elif isinstance(event, Merge):
+            _dist_add(merge_widths, len(event.entries))
+            _dist_add(schemes, event.scheme)
+            for entry in event.entries:
                 state = entry.get("rstate")
                 if state is not None:
                     _dist_add(rotation_states, state)
-        elif kind == "elm":
-            _dist_add(elm_popcounts, bin(event.get("elm", 0)).count("1"))
-        slim.append((cycle, kind, lanes))
+        elif isinstance(event, Elm):
+            _dist_add(elm_popcounts, bin(event.elm).count("1"))
+        slim.append((cycle, cls, lanes))
 
     cycles = max_cycle + 1
     if window is None:
@@ -284,22 +307,13 @@ def analyze_events(
     windows = [WindowStats(start=i * window, size=window) for i in range(n_windows)]
     if windows:
         windows[-1].size = cycles - windows[-1].start
-    _WINDOW_FIELD = {
-        "dispatch": "dispatches",
-        "retire": "retires",
-        "merge": "merges",
-        "bs_skip": "bs_skips",
-        "lwd_stall": "lwd_stalls",
-        "bcache_hit": "bcache_hits",
-        "bcache_miss": "bcache_misses",
-    }
-    for cycle, kind, lanes in slim:
+    for cycle, cls, lanes in slim:
         stats = windows[cycle // window]
-        if kind == "issue":
+        if cls is Issue:
             stats.issue_ops += 1
             stats.issue_lanes += lanes
         else:
-            name = _WINDOW_FIELD.get(kind)
+            name = _WINDOW_FIELD.get(cls)
             if name is not None:
                 setattr(stats, name, getattr(stats, name) + 1)
     inflight = 0
@@ -308,7 +322,7 @@ def analyze_events(
         stats.inflight_end = inflight
 
     notes: list[str] = []
-    if counts.get("dispatch", 0) and not counts.get("retire", 0):
+    if counts.get(Dispatch.event, 0) and not counts.get(Retire.event, 0):
         notes.append("no retire events: trace looks truncated mid-run")
     return TraceAnalysis(
         cycles=cycles,
@@ -328,8 +342,8 @@ def analyze_events(
 
 
 def analyze_file(path: str, window: Optional[int] = None) -> TraceAnalysis:
-    """Analyse a JSONL trace file (see :func:`repro.obs.trace.read_jsonl`)."""
-    return analyze_events(read_jsonl(path), window=window)
+    """Analyse a JSONL trace file (see :func:`repro.obs.events.read_events`)."""
+    return analyze_events(read_events(path, SimEvent), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +528,8 @@ def trace_report_main(argv: Optional[list[str]] = None) -> int:
         from repro.obs.chrometrace import write_chrome_trace
 
         try:
-            events = list(read_jsonl(args.file))
-        except ValueError as error:  # pragma: no cover - already read once
+            events = list(read_events(args.file, SimEvent))
+        except (OSError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         write_chrome_trace(args.chrome_trace, events=events)

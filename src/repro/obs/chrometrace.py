@@ -6,7 +6,7 @@ Two sources, two kinds of track:
   events on one track per recorder.  Spans obey a stack discipline, so
   slices on a track are strictly nested and never partially overlap —
   exactly what the trace viewer's flame layout expects.
-* **Simulator events** (:mod:`repro.obs.trace` JSONL) become instant
+* **Simulator records** (:mod:`repro.obs.events`) become instant
   ``"i"`` events plus ``"C"`` counter tracks (in-flight µops, lanes per
   issued op), with one simulated cycle mapped to one microsecond of
   viewer time.
@@ -22,6 +22,19 @@ import json
 from typing import Any, Optional
 from collections.abc import Iterable, Sequence
 
+from repro.obs.events import (
+    BcacheHit,
+    BcacheMiss,
+    BsSkip,
+    ChainAppend,
+    Dispatch,
+    Elm,
+    Issue,
+    LwdStall,
+    Merge,
+    Retire,
+    SimEvent,
+)
 from repro.obs.spans import SpanRecord
 
 __all__ = [
@@ -41,18 +54,18 @@ SIM_TID_VPU = 2
 SIM_TID_SAVE = 3
 SIM_TID_BCACHE = 4
 
-#: Which instant-event track each simulator event kind lands on.
-_EVENT_TID = {
-    "dispatch": SIM_TID_PIPELINE,
-    "retire": SIM_TID_PIPELINE,
-    "issue": SIM_TID_VPU,
-    "merge": SIM_TID_VPU,
-    "elm": SIM_TID_SAVE,
-    "bs_skip": SIM_TID_SAVE,
-    "lwd_stall": SIM_TID_SAVE,
-    "chain_append": SIM_TID_SAVE,
-    "bcache_hit": SIM_TID_BCACHE,
-    "bcache_miss": SIM_TID_BCACHE,
+#: Which instant-event track each simulator record class lands on.
+_EVENT_TID: dict[type, int] = {
+    Dispatch: SIM_TID_PIPELINE,
+    Retire: SIM_TID_PIPELINE,
+    Issue: SIM_TID_VPU,
+    Merge: SIM_TID_VPU,
+    Elm: SIM_TID_SAVE,
+    BsSkip: SIM_TID_SAVE,
+    LwdStall: SIM_TID_SAVE,
+    ChainAppend: SIM_TID_SAVE,
+    BcacheHit: SIM_TID_BCACHE,
+    BcacheMiss: SIM_TID_BCACHE,
 }
 
 
@@ -95,9 +108,9 @@ def span_trace_events(
 
 
 def sim_trace_events(
-    events: Iterable[dict[str, Any]], pid: int = SIM_PID
+    events: Iterable[SimEvent], pid: int = SIM_PID
 ) -> list[dict[str, Any]]:
-    """Instant + counter events for a simulator event stream.
+    """Instant + counter events for a simulator record stream.
 
     One simulated cycle maps to 1 µs of viewer time.  Emits an
     ``inflight`` counter (dispatched-not-retired µops, stepped at every
@@ -111,44 +124,40 @@ def sim_trace_events(
     offset = 0
     last_raw = -1
     for event in events:
-        kind = event["event"]
-        raw_cycle = event["cycle"]
+        raw_cycle = event.cycle
         if raw_cycle < last_raw:
             offset += last_raw + 1
         last_raw = raw_cycle
         cycle = offset + raw_cycle
-        tid = _EVENT_TID.get(kind)
-        if tid is None:
-            continue
         args = {
             key: value
-            for key, value in event.items()
-            if key not in ("event", "cycle", "kernel", "v")
+            for key, value in vars(event).items()
+            if key not in ("cycle", "kernel")
         }
         out.append(
             {
-                "name": kind,
+                "name": event.event,
                 "ph": "i",
                 "s": "t",
                 "ts": float(cycle),
                 "pid": pid,
-                "tid": tid,
+                "tid": _EVENT_TID[type(event)],
                 "cat": "sim",
                 "args": args,
             }
         )
-        if kind == "issue":
+        if isinstance(event, Issue):
             out.append(
                 {
                     "name": "lanes_per_op",
                     "ph": "C",
                     "ts": float(cycle),
                     "pid": pid,
-                    "args": {"lanes": event.get("lanes", 0)},
+                    "args": {"lanes": event.lanes},
                 }
             )
-        elif kind in ("dispatch", "retire"):
-            inflight += 1 if kind == "dispatch" else -1
+        elif isinstance(event, (Dispatch, Retire)):
+            inflight += 1 if isinstance(event, Dispatch) else -1
             out.append(
                 {
                     "name": "inflight_uops",
@@ -163,7 +172,7 @@ def sim_trace_events(
 
 def chrome_trace(
     spans: Optional[Sequence[SpanRecord]] = None,
-    events: Optional[Iterable[dict[str, Any]]] = None,
+    events: Optional[Iterable[SimEvent]] = None,
 ) -> dict[str, Any]:
     """Assemble the Trace Event Format JSON-object document."""
     trace_events: list[dict[str, Any]] = []
@@ -184,7 +193,7 @@ def chrome_trace(
 def write_chrome_trace(
     path: str,
     spans: Optional[Sequence[SpanRecord]] = None,
-    events: Optional[Iterable[dict[str, Any]]] = None,
+    events: Optional[Iterable[SimEvent]] = None,
 ) -> str:
     """Write the trace document to ``path``; returns the path."""
     document = chrome_trace(spans=spans, events=events)

@@ -15,11 +15,9 @@ per-cycle simulator traces): consume a request log written by
 
 ``repro serve-report REQLOG`` renders the whole thing as markdown.
 
-The tables below double as the telemetry schema's *consumer
-declaration*: the ``schema-drift`` check rule cross-checks
-:data:`REQLOG_CONSUMED_EVENTS` and :data:`REPORT_LATENCY_PHASES`
-against the emit sites and field tables in
-:mod:`repro.obs.telemetry` — both directions.
+The analysis dispatches on the :mod:`repro.obs.events` serve record
+classes and refuses any other record, so a new serve record class fails
+here loudly rather than being dropped.
 """
 
 from __future__ import annotations
@@ -30,46 +28,26 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 from collections.abc import Iterable, Sequence
 
-from repro.obs.telemetry import (
-    exact_percentile,
-    read_request_log,
-    validate_request_event,
+from repro.obs.events import (
+    Access,
+    Complete,
+    Ingress,
+    Phase,
+    ServeEvent,
+    Sim,
+    Snapshot,
+    read_events,
 )
+from repro.obs.telemetry import LATENCY_PHASES, exact_percentile
 
 __all__ = [
     "BACKPRESSURE_GAP_S",
-    "REPORT_LATENCY_PHASES",
-    "REQLOG_CONSUMED_EVENTS",
     "ServeReportAnalysis",
     "analyze_request_events",
     "analyze_request_log",
     "render_serve_markdown",
     "serve_report_main",
 ]
-
-#: Request-log fields this report reads, per event type.  Every event
-#: type the service emits must be consumed here (and every consumed
-#: field must exist in the schema) — enforced by the ``schema-drift``
-#: rule, so the report can never silently ignore a new event type.
-REQLOG_CONSUMED_EVENTS: dict[str, tuple] = {
-    "ingress": ("trace_id", "key", "outcome"),
-    "phase": ("trace_id", "phase", "wall_s"),
-    "sim": ("trace_ids", "point", "wall_s", "engine"),
-    "complete": ("trace_id", "key", "status", "wall_s"),
-    "access": ("trace_id", "method", "path", "status", "wall_s"),
-    "snapshot": ("queue_depth", "active", "oldest_age_s", "counters"),
-}
-
-#: The latency phases this report tabulates; must equal
-#: :data:`repro.obs.telemetry.LATENCY_PHASES` (checked both ways by
-#: the ``schema-drift`` rule).
-REPORT_LATENCY_PHASES = (
-    "queue_wait",
-    "batch_form",
-    "simulate",
-    "store_write",
-    "e2e",
-)
 
 #: Rejected submits closer together than this belong to one
 #: backpressure episode.
@@ -189,7 +167,7 @@ class ServeReportAnalysis:
         """Phase shares of named wall time, and a one-line verdict."""
         totals = {
             phase: sum(self.phase_samples.get(phase, ()))
-            for phase in REPORT_LATENCY_PHASES
+            for phase in LATENCY_PHASES
             if phase != "e2e"
         }
         named = sum(totals.values())
@@ -229,11 +207,11 @@ def _rank(ordered: Sequence[float], q: float) -> float:
 
 
 def analyze_request_events(
-    events: Iterable[dict[str, Any]]
+    events: Iterable[ServeEvent]
 ) -> ServeReportAnalysis:
-    """Derive a :class:`ServeReportAnalysis` from validated events."""
+    """Derive a :class:`ServeReportAnalysis` from serve records."""
     ingress_outcomes: dict[str, int] = {}
-    phase_samples: dict[str, list[float]] = {p: [] for p in REPORT_LATENCY_PHASES}
+    phase_samples: dict[str, list[float]] = {p: [] for p in LATENCY_PHASES}
     complete_statuses: dict[str, int] = {}
     sim_span_widths: dict[int, int] = {}
     sim_engines: dict[str, int] = {}
@@ -247,35 +225,36 @@ def analyze_request_events(
     unknown_phases: set[str] = set()
 
     for event in events:
-        kind = event["event"]
-        if kind == "ingress":
-            outcome = event["outcome"]
+        if isinstance(event, Ingress):
+            outcome = event.outcome
             ingress_outcomes[outcome] = ingress_outcomes.get(outcome, 0) + 1
             if outcome == "rejected":
-                rejected_ts.append(float(event["ts"]))
-        elif kind == "phase":
-            phase = event["phase"]
-            if phase in phase_samples:
-                phase_samples[phase].append(float(event["wall_s"]))
+                rejected_ts.append(float(event.ts))
+        elif isinstance(event, Phase):
+            if event.phase in phase_samples:
+                phase_samples[event.phase].append(float(event.wall_s))
             else:
-                unknown_phases.add(phase)
-        elif kind == "complete":
-            status = event["status"]
+                unknown_phases.add(event.phase)
+        elif isinstance(event, Complete):
+            status = event.status
             complete_statuses[status] = complete_statuses.get(status, 0) + 1
-            phase_samples["e2e"].append(float(event["wall_s"]))
-        elif kind == "sim":
-            width = len(event["trace_ids"])
+            phase_samples["e2e"].append(float(event.wall_s))
+        elif isinstance(event, Sim):
+            width = len(event.trace_ids)
             sim_span_widths[width] = sim_span_widths.get(width, 0) + 1
-            sim_wall += float(event["wall_s"])
-            engine = event["engine"]
-            sim_engines[engine] = sim_engines.get(engine, 0) + 1
-        elif kind == "access":
-            status = int(event["status"])
+            sim_wall += float(event.wall_s)
+            sim_engines[event.engine] = sim_engines.get(event.engine, 0) + 1
+        elif isinstance(event, Access):
+            status = int(event.status)
             access_statuses[status] = access_statuses.get(status, 0) + 1
-        elif kind == "snapshot":
+        elif isinstance(event, Snapshot):
             snapshots += 1
-            peak_queue = max(peak_queue, int(event["queue_depth"]))
-            peak_oldest = max(peak_oldest, float(event["oldest_age_s"]))
+            peak_queue = max(peak_queue, int(event.queue_depth))
+            peak_oldest = max(peak_oldest, float(event.oldest_age_s))
+        else:
+            raise TypeError(
+                f"serve-report has no handler for {type(event).__name__} records"
+            )
 
     if unknown_phases:
         notes.append(
@@ -308,14 +287,8 @@ def analyze_request_events(
 
 
 def analyze_request_log(path: str) -> ServeReportAnalysis:
-    """Read, validate and analyze an on-disk request log."""
-
-    def validated() -> Iterable[dict[str, Any]]:
-        for event in read_request_log(path):
-            validate_request_event(event)
-            yield event
-
-    return analyze_request_events(validated())
+    """Read (strictly, rotated segment first) and analyze a request log."""
+    return analyze_request_events(read_events(path, ServeEvent))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +342,7 @@ def render_serve_markdown(
 
     lines += ["", "## Latency percentiles (ms)", ""]
     rows = []
-    for phase in REPORT_LATENCY_PHASES:
+    for phase in LATENCY_PHASES:
         pcts = a.percentiles(phase)
         samples = a.phase_samples.get(phase, [])
         if pcts is None:

@@ -1,24 +1,26 @@
 """Request-lifecycle telemetry for the serving layer.
 
-The simulator side of the observability stack (:mod:`repro.obs.trace`)
-answers "where do the *cycles* go"; this module answers the same
-question for the *service*: where does a request's wall time go between
-``POST /v1/submit`` and the stored payload?  Three pieces:
+The simulator side of the observability stack (the per-cycle records
+of :mod:`repro.obs.events`) answers "where do the *cycles* go"; this
+module answers the same question for the *service*: where does a
+request's wall time go between ``POST /v1/submit`` and the stored
+payload?  Three pieces:
 
-* **The request log** — a structured, versioned JSONL stream with the
-  same ``validate_event`` discipline as the cycle trace.  Every request
-  gets a trace ID at HTTP ingress; the service stamps it on ``ingress``
-  / ``phase`` / ``sim`` / ``complete`` events as the request moves
-  through dedup, the bounded queue, micro-batch formation, the executor
+* **The request log** — the typed :mod:`repro.obs.events` serve
+  records, written by the same :class:`~repro.obs.events.EventWriter`
+  as the cycle trace.  Every request gets a trace ID at HTTP ingress;
+  the service stamps it on :class:`Ingress` / :class:`Phase` /
+  :class:`Sim` / :class:`Complete` records as the request moves through
+  dedup, the bounded queue, micro-batch formation, the executor
   (worker-side spans carry the originating trace IDs across the
   process-pool boundary) and the result-store write.  HTTP access lines
-  (``access``) ride the same stream.
+  (:class:`Access`) ride the same stream.
 * **The latency recorder** — exact p50/p95/p99 percentiles per phase
   and end-to-end, computed over a bounded window of the most recent
   samples and exported as ``serve.latency.<phase>.<q>_ms`` gauges on
   ``/metrics`` (JSON and Prometheus text exposition alike).
 * **The metrics ring** — a bounded on-disk ring of periodic
-  ``snapshot`` events (queue depth, oldest-request age, ``serve.*``
+  :class:`Snapshot` records (queue depth, oldest-request age, ``serve.*``
   counters) written by the service's sampler thread.  Retention is
   two-segment: the live segment plus one rotated ``.old`` segment, so
   disk usage is bounded at ~2x the configured capacity regardless of
@@ -31,68 +33,33 @@ so the file sits on the ``no-wallclock`` rule's exclude list next to
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
 import threading
 import time
 import uuid
 from collections import deque
-from typing import Any, Optional, TextIO, Union
-from collections.abc import Iterator, Sequence
+from typing import Any, Optional
+from collections.abc import Sequence
 
-from repro.obs.trace import read_jsonl
+from repro.obs.events import NULL_SINK, Phase, ServeEvent, TraceSink
 
 __all__ = [
     "LATENCY_PHASES",
     "LATENCY_QUANTILES",
-    "NULL_REQUEST_LOG",
-    "REQLOG_COMMON_FIELDS",
-    "REQLOG_SCHEMA_VERSION",
-    "REQUEST_EVENT_FIELDS",
     "LatencyRecorder",
-    "NullRequestLog",
-    "RequestLog",
     "ServeTelemetry",
     "exact_percentile",
     "new_trace_id",
-    "read_request_log",
     "render_prometheus",
     "run_chunk_timed",
-    "validate_request_event",
+    "stamp",
     "wants_prometheus",
 ]
 
-#: Bump on incompatible request-log schema changes; stamped per line.
-REQLOG_SCHEMA_VERSION = 1
-
-#: Required event-specific fields, per request-log event type.
-REQUEST_EVENT_FIELDS: dict[str, tuple] = {
-    # One per submit, at service ingress.  ``outcome`` is accepted /
-    # dedup / cached / rejected / draining.
-    "ingress": ("trace_id", "key", "outcome"),
-    # One wall-clock span per lifecycle phase (see LATENCY_PHASES).
-    "phase": ("trace_id", "phase", "wall_s"),
-    # One per simulated grid point, measured *inside* the executor
-    # worker; ``trace_ids`` lists every request that owns the point
-    # (micro-batching coalesces overlapping points into one span).
-    "sim": ("trace_ids", "point", "wall_s", "engine"),
-    # Terminal record per job: status is done / cached / failed.
-    "complete": ("trace_id", "key", "status", "wall_s"),
-    # One per HTTP response (the access log, ex-``log_message``).
-    "access": ("trace_id", "method", "path", "status", "wall_s"),
-    # Periodic sampler output into the bounded metrics ring.
-    "snapshot": ("queue_depth", "active", "oldest_age_s", "counters"),
-}
-
-#: Fields common to every request-log event (stamped by the writer).
-REQLOG_COMMON_FIELDS = ("ts", "event")
-
 #: Request lifecycle phases with latency percentiles; ``e2e`` is
-#: submit-to-finish.  Consumers (serve-report, the Prometheus
-#: exposition) must agree with this list — the ``schema-drift`` rule
-#: cross-checks any ``REPORT_LATENCY_PHASES`` declaration against it.
+#: submit-to-finish.  serve-report and the Prometheus exposition both
+#: read this tuple.
 LATENCY_PHASES = ("queue_wait", "batch_form", "simulate", "store_write", "e2e")
 
 #: Exact quantiles exported per phase.
@@ -104,146 +71,9 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def validate_request_event(event: dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``event`` matches the request-log schema."""
-    for name in REQLOG_COMMON_FIELDS:
-        if name not in event:
-            raise ValueError(
-                f"request-log event missing common field {name!r}: {event}"
-            )
-    kind = event["event"]
-    required = REQUEST_EVENT_FIELDS.get(kind)
-    if required is None:
-        raise ValueError(f"unknown request-log event type {kind!r}")
-    ts = event["ts"]
-    if not isinstance(ts, (int, float)) or isinstance(ts, bool) or ts < 0:
-        raise ValueError(
-            f"request-log event ts must be a non-negative number: {event}"
-        )
-    for name in required:
-        if name not in event:
-            raise ValueError(
-                f"request-log event {kind!r} missing required field "
-                f"{name!r}: {event}"
-            )
-
-
-class RequestLog:
-    """Thread-safe JSONL writer for request-lifecycle events.
-
-    Every line carries a ``v`` schema stamp and a wall-clock ``ts``.
-    With ``ring_limit`` set the log becomes a bounded on-disk ring:
-    after ``ring_limit`` records the live segment rotates to
-    ``<path>.old`` (replacing the previous rotation), so at most
-    ``2 * ring_limit`` records exist on disk at any time.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        ring_limit: Optional[int] = None,
-    ) -> None:
-        if ring_limit is not None and ring_limit <= 0:
-            raise ValueError("ring_limit must be positive")
-        self.path = str(path)
-        self.ring_limit = ring_limit
-        self.events_written = 0
-        self._segment_count = 0
-        self._lock = threading.Lock()
-        # The log outlives __init__ and owns the handle; callers close
-        # via close() or the context-manager protocol.
-        self._file: TextIO = open(self.path, "w", encoding="utf-8")  # noqa: SIM115
-
-    @property
-    def enabled(self) -> bool:
-        return True
-
-    @property
-    def rotated_path(self) -> str:
-        """Where the previous ring segment lives after a rotation."""
-        return self.path + ".old"
-
-    def log_event(self, event: str, **fields: Any) -> None:
-        """Stamp ``v``/``ts``/``event`` and append one JSONL line."""
-        record: dict[str, Any] = {
-            "v": REQLOG_SCHEMA_VERSION,
-            "ts": round(time.time(), 6),
-            "event": event,
-        }
-        record.update(fields)
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        with self._lock:
-            if self._file.closed:
-                return
-            # One write call per line: a crash mid-run must not leave a
-            # line without its terminator for readers to choke on.
-            self._file.write(line)
-            self.events_written += 1
-            self._segment_count += 1
-            if self.ring_limit is not None and self._segment_count >= self.ring_limit:
-                self._rotate_locked()
-
-    def _rotate_locked(self) -> None:
-        self._file.flush()
-        self._file.close()
-        os.replace(self.path, self.rotated_path)
-        self._file = open(self.path, "w", encoding="utf-8")  # noqa: SIM115
-        self._segment_count = 0
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-                self._file.close()
-
-    def __enter__(self) -> RequestLog:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class NullRequestLog(RequestLog):
-    """Discards everything; the default when request logging is off."""
-
-    def __init__(self) -> None:  # noqa: B027 - deliberately no super()
-        self.path = ""
-        self.ring_limit = None
-        self.events_written = 0
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def log_event(self, event: str, **fields: Any) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-#: Shared no-op log; identity-compared to detect "logging off" cheaply.
-NULL_REQUEST_LOG = NullRequestLog()
-
-
-def read_request_log(path: str) -> Iterator[dict[str, Any]]:
-    """Yield events from a request log (rotated ring segment first).
-
-    Raises :class:`repro.obs.trace.TraceFormatError` on unparseable
-    lines or a ``v`` stamp that is not :data:`REQLOG_SCHEMA_VERSION`.
-    """
-    rotated = str(path) + ".old"
-    if os.path.exists(rotated):
-        yield from read_jsonl(rotated, expected_version=REQLOG_SCHEMA_VERSION)
-    yield from read_jsonl(str(path), expected_version=REQLOG_SCHEMA_VERSION)
+def stamp(record_type: type[ServeEvent], **fields: Any) -> ServeEvent:
+    """A ``record_type`` record stamped with the wall-clock ``ts``."""
+    return record_type(ts=round(time.time(), 6), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +170,18 @@ class ServeTelemetry:
     """Request log + bounded metrics ring + latency recorder, as one unit.
 
     The default construction (no arguments) is the "off" configuration:
-    a :data:`NULL_REQUEST_LOG`, no ring, but a live latency recorder —
+    the null sink as the log, no ring, but a live latency recorder —
     percentile gauges on ``/metrics`` cost a few floats per request and
     are always worth having.
     """
 
     def __init__(
         self,
-        log: Optional[RequestLog] = None,
-        ring: Optional[RequestLog] = None,
+        log: Optional[TraceSink] = None,
+        ring: Optional[TraceSink] = None,
         latency: Optional[LatencyRecorder] = None,
     ) -> None:
-        self.log = NULL_REQUEST_LOG if log is None else log
+        self.log = NULL_SINK if log is None else log
         self.ring = ring
         self.latency = latency if latency is not None else LatencyRecorder()
 
@@ -360,13 +190,17 @@ class ServeTelemetry:
         """Whether any on-disk output (log or ring) is configured."""
         return self.log.enabled or self.ring is not None
 
+    def emit(self, record_type: type[ServeEvent], **fields: Any) -> None:
+        """Append one stamped record to the request log; a no-op when
+        logging is off (no record is built)."""
+        if self.log.enabled:
+            self.log.emit(stamp(record_type, **fields))
+
     def record_phase(self, trace_id: str, phase: str, wall_s: float) -> None:
-        """One lifecycle span: feed the recorder, append a log event."""
+        """One lifecycle span: feed the recorder, append a log record."""
         wall_s = max(0.0, wall_s)
         self.latency.record(phase, wall_s)
-        self.log.log_event(
-            "phase", trace_id=trace_id, phase=phase, wall_s=round(wall_s, 6)
-        )
+        self.emit(Phase, trace_id=trace_id, phase=phase, wall_s=round(wall_s, 6))
 
     def close(self) -> None:
         self.log.close()
@@ -392,7 +226,7 @@ def run_chunk_timed(chunk: list) -> list:
     *inside* the worker process, so a parallel service batch gets true
     per-point simulation time rather than pool round-trip time; the
     dispatcher joins the spans back to request trace IDs when it emits
-    ``sim`` events.
+    :class:`Sim` records.
     """
     results = []
     for index, job in chunk:

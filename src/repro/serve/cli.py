@@ -89,16 +89,16 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
     telemetry = None
     try:
         if args.trace:
-            from repro.obs import JsonlTraceSink
+            from repro.obs import EventWriter
 
-            sink = JsonlTraceSink(args.trace)
+            sink = EventWriter(args.trace)
         if args.request_log or args.metrics_ring:
-            from repro.obs.telemetry import RequestLog, ServeTelemetry
+            from repro.obs import EventWriter, ServeTelemetry
 
             telemetry = ServeTelemetry(
-                log=RequestLog(args.request_log) if args.request_log else None,
+                log=EventWriter(args.request_log) if args.request_log else None,
                 ring=(
-                    RequestLog(args.metrics_ring, ring_limit=args.ring_capacity)
+                    EventWriter(args.metrics_ring, ring_limit=args.ring_capacity)
                     if args.metrics_ring
                     else None
                 ),

@@ -45,6 +45,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 
+from repro.obs.events import Access
 from repro.obs.telemetry import new_trace_id, render_prometheus, wants_prometheus
 from repro.serve.schema import RequestError, parse_request
 from repro.serve.service import QueueFull, ServiceDraining, SimService
@@ -121,11 +122,11 @@ class _Handler(BaseHTTPRequestHandler):
         ``access`` event carrying the trace ID, so the request log is
         also the access log.  No-op unless ``--request-log`` is live.
         """
-        log = self.server.service.telemetry.log
-        if not log.enabled:
+        telemetry = self.server.service.telemetry
+        if not telemetry.log.enabled:
             return
-        log.log_event(
-            "access",
+        telemetry.emit(
+            Access,
             trace_id=getattr(self, "_trace_id", ""),
             method=self.command or "",
             path=self.path or "",

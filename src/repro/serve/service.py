@@ -35,7 +35,8 @@ from typing import Any, Optional, Union
 from repro.core.config import machine_label
 from repro.experiments.executor import SimExecutor
 from repro.obs import MetricsRegistry, log2_bucket
-from repro.obs.telemetry import ServeTelemetry, new_trace_id
+from repro.obs.events import Complete, Ingress, Sim, Snapshot
+from repro.obs.telemetry import ServeTelemetry, new_trace_id, stamp
 from repro.serve.schema import SERVE_SCHEMA_VERSION, SimRequest
 from repro.serve.store import ResultStore
 
@@ -312,8 +313,8 @@ class SimService:
             wall = time.monotonic() - started
             self.telemetry.latency.record("e2e", wall)
             self._log_ingress(trace_id, key, "cached")
-            self.telemetry.log.log_event(
-                "complete",
+            self.telemetry.emit(
+                Complete,
                 trace_id=trace_id,
                 key=key,
                 status="cached",
@@ -345,9 +346,7 @@ class SimService:
         return job, "accepted"
 
     def _log_ingress(self, trace_id: str, key: str, outcome: str) -> None:
-        self.telemetry.log.log_event(
-            "ingress", trace_id=trace_id, key=key, outcome=outcome
-        )
+        self.telemetry.emit(Ingress, trace_id=trace_id, key=key, outcome=outcome)
 
     def status(self, key: str) -> dict[str, Any]:
         """Poll view of one job key (in-flight, done-on-disk or unknown)."""
@@ -428,8 +427,8 @@ class SimService:
                     job.fail(f"{type(error).__name__}: {error}")
                     wall = max(0.0, now - job.submitted_at)
                     self.telemetry.latency.record("e2e", wall)
-                    self.telemetry.log.log_event(
-                        "complete",
+                    self.telemetry.emit(
+                        Complete,
                         trace_id=job.trace_id,
                         key=job.key,
                         status="failed",
@@ -505,8 +504,8 @@ class SimService:
                 for point in order
             }
             for point, index in order.items():
-                self.telemetry.log.log_event(
-                    "sim",
+                self.telemetry.emit(
+                    Sim,
                     trace_ids=owners[point],
                     point=list(point),
                     wall_s=round(walls[index], 6),
@@ -526,8 +525,8 @@ class SimService:
             )
             wall = max(0.0, now - job.submitted_at)
             self.telemetry.latency.record("e2e", wall)
-            self.telemetry.log.log_event(
-                "complete",
+            self.telemetry.emit(
+                Complete,
                 trace_id=job.trace_id,
                 key=job.key,
                 status="done",
@@ -558,12 +557,14 @@ class SimService:
             )
         oldest_age_s = round(now - oldest, 6) if oldest is not None else 0.0
         self.metrics.gauge("serve.oldest_request_age_s").set(oldest_age_s)
-        ring.log_event(
-            "snapshot",
-            queue_depth=queue_depth,
-            active=active,
-            oldest_age_s=oldest_age_s,
-            counters=self.metrics.snapshot()["counters"],
+        ring.emit(
+            stamp(
+                Snapshot,
+                queue_depth=queue_depth,
+                active=active,
+                oldest_age_s=oldest_age_s,
+                counters=self.metrics.snapshot()["counters"],
+            )
         )
 
     @staticmethod

@@ -3,11 +3,9 @@
 import numpy as np
 
 
-def run(obs, cycle, seq, done):
+def run(obs, done):
     rng = np.random.default_rng(1234)
-    obs.emit(cycle, "dispatch", seq=seq)
     name = "retire" if done else "dispatch"
-    obs.emit(cycle, name, seq=seq)
     obs.metrics.counter("sim_cycles").inc()
     obs.metrics.counter(f"vpu_ops_{name}").inc()
     return rng.random()

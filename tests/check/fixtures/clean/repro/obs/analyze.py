@@ -1,12 +1,6 @@
-"""Consumers that agree with the schema and the producers."""
-
-_WINDOW_FIELD = {
-    "dispatch": "dispatches",
-    "retire": "retires",
-}
+"""Consumers that agree with the producers."""
 
 
-def summarize(event_counts, counters):
-    total = event_counts.get("dispatch", 0)
+def summarize(counters):
     vpu = counters.get("vpu_ops_add", 0)
-    return total + counters.get("sim_cycles", 0) + vpu
+    return counters.get("sim_cycles", 0) + vpu

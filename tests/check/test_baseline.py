@@ -115,7 +115,7 @@ def test_cli_baseline_json_reports_matches(tmp_path, capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["ok"] is True
     assert document["diagnostics"] == []
-    assert document["baseline_matched"] == 15
+    assert document["baseline_matched"] == 10
 
 
 def test_cli_bad_baseline_is_usage_error(tmp_path, capsys):

@@ -73,7 +73,7 @@ def test_json_clean_shape(fixtures_dir, capsys):
     document = json.loads(capsys.readouterr().out)
     assert document["ok"] is True
     assert document["diagnostics"] == []
-    assert document["files_checked"] == 3
+    assert document["files_checked"] == 2
 
 
 def test_repro_cli_dispatches_check(fixtures_dir, capsys):

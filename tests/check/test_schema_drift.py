@@ -1,4 +1,4 @@
-"""Schema-drift rule: both directions, for events and for metrics."""
+"""Schema-drift rule: metric consumers and the sweep-store tables."""
 
 from repro.check import run_checks
 
@@ -7,113 +7,45 @@ def _drift(result):
     return [d for d in result.diagnostics if d.rule == "schema-drift"]
 
 
-def test_emitted_event_not_in_schema_flagged(fixtures_dir):
-    result = run_checks(fixtures_dir / "violations")
-    messages = [d.message for d in _drift(result)]
-    assert any("'unknown_event'" in m and "not in the trace schema" in m
-               for m in messages)
-
-
-def test_schema_event_never_emitted_flagged_at_schema_line(fixtures_dir):
-    result = run_checks(fixtures_dir / "violations")
-    phantom = [d for d in _drift(result) if "'phantom'" in d.message]
-    assert len(phantom) == 1
-    assert phantom[0].path == "repro/obs/trace.py"
-    assert phantom[0].line == 6
-    assert "never emitted" in phantom[0].message
-
-
-def test_missing_required_field_flagged(fixtures_dir):
-    result = run_checks(fixtures_dir / "violations")
-    missing = [d for d in _drift(result) if "missing required field" in d.message]
-    assert [(d.path, d.line) for d in missing] == [("repro/core/emitters.py", 5)]
-    assert "'seq'" in missing[0].message
-
-
-def test_common_field_override_flagged(fixtures_dir):
-    result = run_checks(fixtures_dir / "violations")
-    override = [d for d in _drift(result) if "common field" in d.message]
-    assert [(d.path, d.line) for d in override] == [("repro/core/emitters.py", 7)]
-
-
-def test_consumed_event_not_in_schema_flagged(fixtures_dir):
-    result = run_checks(fixtures_dir / "violations")
-    ghost = [d for d in _drift(result) if "'ghost_event'" in d.message]
-    assert [(d.path, d.line) for d in ghost] == [("repro/obs/analyze.py", 5)]
-
-
 def test_consumed_metric_without_producer_flagged(fixtures_dir):
     result = run_checks(fixtures_dir / "violations")
     ghost = [d for d in _drift(result) if "'ghost_metric'" in d.message]
-    assert [(d.path, d.line) for d in ghost] == [("repro/obs/analyze.py", 10)]
+    assert [(d.path, d.line) for d in ghost] == [("repro/obs/analyze.py", 5)]
     assert "no MetricsRegistry" in ghost[0].message
+    # The produced metric read on the same line is not flagged.
+    assert len(_drift(result)) == 1
 
 
 def test_clean_fixture_has_no_drift(fixtures_dir):
     # The clean tree exercises every resolution path that must NOT
-    # fire: conditional event names, f-string metric prefixes,
-    # consumed names that all exist.
+    # fire: literal producers, f-string metric prefixes, consumed
+    # names that all exist.
     result = run_checks(fixtures_dir / "clean")
     assert not _drift(result)
 
 
-def test_unresolved_emit_reported_and_skips_never_emitted(fixtures_dir):
-    result = run_checks(fixtures_dir / "unresolved")
-    drift = _drift(result)
-    assert [(d.path, d.line) for d in drift] == [("repro/core/emitters.py", 6)]
-    assert "could not be resolved" in drift[0].message
-    # 'maybe_dynamic' is never visibly emitted, but with an unresolved
-    # emit site in the tree the never-emitted direction must not fire.
-    assert not any("maybe_dynamic" in d.message for d in drift)
-
-
-def test_no_schema_file_no_drift_checks(tmp_path):
-    core = tmp_path / "repro" / "core"
-    core.mkdir(parents=True)
-    (core / "e.py").write_text(
-        "def f(obs, cycle):\n    obs.emit(cycle, 'whatever', a=1)\n"
+def test_no_producers_no_metric_checks(tmp_path):
+    # A file subset without any MetricsRegistry call sites has nothing
+    # to check its metric reads against.
+    obs = tmp_path / "repro" / "obs"
+    obs.mkdir(parents=True)
+    (obs / "a.py").write_text(
+        "def f(counters):\n    return counters.get('whatever', 0)\n"
     )
     result = run_checks(tmp_path, rule_ids=["schema-drift"])
     assert result.ok
 
 
 def test_real_tree_cross_checks_hold(src_cache):
-    # The repo itself must satisfy both directions: every event in
-    # repro.obs.trace.EVENT_FIELDS is emitted by the simulator and
-    # every consumed event/metric resolves.  This is the acceptance
-    # check that the rule actually reads the real schema.
+    # The repo itself must satisfy the rule: every consumed metric has
+    # a producer and the store tables agree with their readers.  This
+    # is the acceptance check that the rule actually reads the real
+    # tree.
     from pathlib import Path
 
     src = Path(__file__).resolve().parents[2] / "src"
     result = run_checks(src, rule_ids=["schema-drift"], cache_dir=src_cache)
     assert result.ok, [d.format() for d in result.diagnostics]
-
-
-def test_real_tree_drift_is_caught(tmp_path):
-    # Renaming an event in a copy of the real tree must fail both
-    # directions: the new name is not in the schema, the old name is
-    # no longer emitted.
-    import shutil
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[2] / "src"
-    work = tmp_path / "src"
-    shutil.copytree(
-        src, work, ignore=shutil.ignore_patterns("__pycache__", "check")
-    )
-    pipeline = work / "repro" / "core" / "pipeline.py"
-    text = pipeline.read_text()
-    assert '"bs_skip"' in text
-    pipeline.write_text(text.replace('"bs_skip"', '"bs_skipped"'))
-    result = run_checks(work, rule_ids=["schema-drift"])
-    messages = [d.message for d in result.diagnostics]
-    assert any(
-        "'bs_skipped'" in m and "not in the trace schema" in m
-        for m in messages
-    )
-    assert any(
-        "'bs_skip'" in m and "never emitted" in m for m in messages
-    )
 
 
 # ---------------------------------------------------------------------------

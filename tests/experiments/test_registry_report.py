@@ -171,16 +171,13 @@ class TestCliObservability:
         assert "sim_runs" in out
 
     def test_trace_writes_schema_valid_jsonl(self, tmp_path, capsys):
-        from repro.obs import validate_event, read_jsonl
+        from repro.obs import SimEvent, read_events
 
         path = tmp_path / "trace.jsonl"
         assert main(["fig15", "--k-steps", "4", "--trace", str(path)]) == 0
-        events = list(read_jsonl(str(path)))
+        events = list(read_events(str(path), SimEvent))
         assert events
-        kinds = set()
-        for event in events:
-            validate_event(event)
-            kinds.add(event["event"])
+        kinds = {event.event for event in events}
         assert "bs_skip" in kinds
         assert "merge" in kinds
         assert "bcache_hit" in kinds or "bcache_miss" in kinds
@@ -214,6 +211,28 @@ class TestCliProfiling:
         phases = {event["ph"] for event in document["traceEvents"]}
         # Host spans, simulator instants, counters and track metadata.
         assert {"X", "i", "C", "M"} <= phases
+
+    def test_chrome_trace_read_back_error_is_exit_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.obs
+        from repro.obs import TraceFormatError
+
+        trace = tmp_path / "t.jsonl"
+
+        def refuse(path, expect=object):
+            raise TraceFormatError(str(path), 3, "unknown event kind 'retier'")
+
+        monkeypatch.setattr(repro.obs, "read_events", refuse)
+        assert main(
+            [
+                "fig19", "--k-steps", "4",
+                "--trace", str(trace),
+                "--chrome-trace", str(tmp_path / "c.json"),
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {trace}:3: unknown event kind 'retier'\n"
 
 
 class TestCliSubcommands:

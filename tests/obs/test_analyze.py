@@ -5,7 +5,15 @@ import pytest
 from repro.core import SAVE_2VPU, simulate
 from repro.kernels.gemm import GemmKernelConfig, generate_gemm_trace
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
-from repro.obs import Instrumentation, JsonlTraceSink, ListSink, MetricsRegistry
+from repro.obs import EventWriter, Instrumentation, ListSink, MetricsRegistry
+from repro.obs.events import (
+    BcacheHit,
+    BcacheMiss,
+    Dispatch,
+    Issue,
+    Merge,
+    Retire,
+)
 from repro.obs.analyze import (
     analyze_events,
     analyze_file,
@@ -14,9 +22,16 @@ from repro.obs.analyze import (
 )
 
 
-def _event(cycle, event, **fields):
-    fields.update({"cycle": cycle, "event": event, "kernel": "k"})
-    return fields
+def _event(cycle, record_type, **fields):
+    return record_type(cycle=cycle, kernel="k", mechanism="save", **fields)
+
+
+def _issue(cycle, lanes):
+    return _event(cycle, Issue, kind="lanes", lanes=lanes, uops=1, latency=4)
+
+
+def _bcache(cycle, record_type, addr):
+    return _event(cycle, record_type, addr=addr, zero=False, l1_access=True)
 
 
 def _instrumented_run(bs=0.5, nbs=0.5):
@@ -40,10 +55,10 @@ def _instrumented_run(bs=0.5, nbs=0.5):
 class TestAnalyzeSynthetic:
     def test_counts_and_windows(self):
         events = [
-            _event(0, "dispatch", seq=0, kind="vfma"),
-            _event(1, "issue", kind="lanes", lanes=4),
-            _event(5, "issue", kind="lanes", lanes=8),
-            _event(9, "retire", seq=0),
+            _event(0, Dispatch, seq=0, kind="vfma"),
+            _issue(1, 4),
+            _issue(5, 8),
+            _event(9, Retire, seq=0),
         ]
         analysis = analyze_events(events, window=5)
         assert analysis.cycles == 10
@@ -59,9 +74,9 @@ class TestAnalyzeSynthetic:
 
     def test_busy_fraction(self):
         events = [
-            _event(0, "issue", kind="lanes", lanes=1),
-            _event(0, "issue", kind="lanes", lanes=1),
-            _event(3, "issue", kind="lanes", lanes=1),
+            _issue(0, 1),
+            _issue(0, 1),
+            _issue(3, 1),
         ]
         analysis = analyze_events(events, window=4)
         # Two distinct busy cycles out of four simulated.
@@ -71,10 +86,10 @@ class TestAnalyzeSynthetic:
     def test_multi_run_concatenation(self):
         # The cycle counter restarting signals a new back-to-back run.
         events = [
-            _event(0, "dispatch", seq=0, kind="vfma"),
-            _event(9, "retire", seq=0),
-            _event(0, "dispatch", seq=0, kind="vfma"),
-            _event(4, "retire", seq=0),
+            _event(0, Dispatch, seq=0, kind="vfma"),
+            _event(9, Retire, seq=0),
+            _event(0, Dispatch, seq=0, kind="vfma"),
+            _event(4, Retire, seq=0),
         ]
         analysis = analyze_events(events, window=100)
         assert analysis.runs == 2
@@ -83,9 +98,9 @@ class TestAnalyzeSynthetic:
 
     def test_bcache_rates(self):
         events = [
-            _event(0, "bcache_hit", addr=64),
-            _event(1, "bcache_hit", addr=64),
-            _event(2, "bcache_miss", addr=128),
+            _bcache(0, BcacheHit, 64),
+            _bcache(1, BcacheHit, 64),
+            _bcache(2, BcacheMiss, 128),
         ]
         analysis = analyze_events(events)
         assert analysis.bcache_hit_rate == pytest.approx(2 / 3)
@@ -105,7 +120,7 @@ class TestAnalyzeSynthetic:
         events = [
             _event(
                 0,
-                "merge",
+                Merge,
                 scheme="rotate_vertical",
                 entries=[
                     {"seq": 1, "lane": 0, "slot": 0, "rstate": "A"},
@@ -181,14 +196,14 @@ class TestMarkdownReport:
         assert "x.jsonl" in report
 
     def test_truncated_trace_note(self):
-        events = [_event(0, "dispatch", seq=0, kind="vfma")]
+        events = [_event(0, Dispatch, seq=0, kind="vfma")]
         report = render_markdown(analyze_events(events))
         assert "truncated" in report
 
 
 class TestTraceReportCli:
     def _write_trace(self, path):
-        sink = JsonlTraceSink(path)
+        sink = EventWriter(path)
         obs = Instrumentation(metrics=MetricsRegistry(), sink=sink)
         trace = generate_gemm_trace(
             GemmKernelConfig(
@@ -225,13 +240,50 @@ class TestTraceReportCli:
     def test_garbage_file_is_clear_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text(
-            '{"v": 2, "cycle": 0, "event": "retire", "kernel": "k", '
+            '{"v": 3, "event": "retire", "cycle": 0, "kernel": "k", '
             '"mechanism": "save", "seq": 0}\n'
             "not json at all\n"
         )
         assert trace_report_main([str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "bad.jsonl:2" in err
+
+    @pytest.mark.parametrize(
+        "bad_line,reason",
+        [
+            ('{"v": 3, "event": "retier", "cycle": 1, "kernel": "k", '
+             '"mechanism": "save", "seq": 0}', "unknown event kind 'retier'"),
+            ('{"v": 3, "event": "issue", "cycle": 1, "kernel": "k", '
+             '"mechanism": "save", "kind": "whole", "uops": 1, "latency": 4}',
+             "'issue' record is missing field(s) lanes"),
+            ('{"event": "retire", "cycle": 1, "kernel": "k", '
+             '"mechanism": "save", "seq": 0}',
+             "missing schema version stamp 'v'"),
+        ],
+        ids=["unknown-kind", "issue-without-lanes", "unstamped"],
+    )
+    def test_malformed_trace_is_refused(self, tmp_path, capsys, bad_line, reason):
+        path = tmp_path / "bad.jsonl"
+        good = (
+            '{"v": 3, "event": "retire", "cycle": 0, "kernel": "k", '
+            '"mechanism": "save", "seq": 0}'
+        )
+        path.write_text(good + "\n" + bad_line + "\n")
+        assert trace_report_main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:2: {reason}\n"
+
+    def test_request_log_is_not_a_trace(self, tmp_path, capsys):
+        path = tmp_path / "req.jsonl"
+        path.write_text(
+            '{"v": 3, "event": "ingress", "ts": 1.0, "trace_id": "t", '
+            '"key": "k", "outcome": "accepted"}\n'
+        )
+        assert trace_report_main([str(path)]) == 2
+        assert "req.jsonl:1: 'ingress' is not a SimEvent record" in (
+            capsys.readouterr().err
+        )
 
     def test_analyze_file_roundtrip(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -251,3 +303,22 @@ class TestTraceReportCli:
         ) == 0
         document = json.loads(chrome.read_text())
         assert document["traceEvents"]
+
+    def test_chrome_trace_read_back_error_is_exit_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The report pass succeeds; the file is then found malformed on
+        # the read-back for the Chrome export.
+        import repro.obs.analyze as analyze_mod
+
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"event": "retire"}\n')
+        monkeypatch.setattr(
+            analyze_mod, "analyze_file", lambda path, window=None: analyze_events([])
+        )
+        assert trace_report_main(
+            [str(trace), "--out", str(tmp_path / "r.md"),
+             "--chrome-trace", str(tmp_path / "c.json")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {trace}:1: missing schema version stamp 'v'\n"

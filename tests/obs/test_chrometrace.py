@@ -6,9 +6,12 @@ from repro.core import SAVE_2VPU, simulate
 from repro.kernels.gemm import GemmKernelConfig, generate_gemm_trace
 from repro.kernels.tiling import BroadcastPattern, RegisterTile
 from repro.obs import Instrumentation, ListSink, MetricsRegistry, SpanRecorder
+from repro.obs.events import SIM_EVENTS, Dispatch, Retire
 from repro.obs.chrometrace import (
     HOST_PID,
     SIM_PID,
+    SIM_TID_BCACHE,
+    SIM_TID_PIPELINE,
     chrome_trace,
     sim_trace_events,
     span_trace_events,
@@ -92,12 +95,23 @@ class TestSimEvents:
 
     def test_multi_run_offset(self):
         raw = [
-            {"cycle": 5, "event": "retire", "kernel": "k", "seq": 0},
-            {"cycle": 0, "event": "dispatch", "kernel": "k", "seq": 0, "kind": "v"},
+            Retire(cycle=5, kernel="k", mechanism="save", seq=0),
+            Dispatch(cycle=0, kernel="k", mechanism="save", seq=0, kind="v"),
         ]
         events = [e for e in sim_trace_events(raw) if e["ph"] == "i"]
         assert events[0]["ts"] == 5.0
         assert events[1]["ts"] == 6.0  # run 2 starts after run 1's last cycle
+
+    def test_every_simulator_class_gets_a_track(self):
+        from tests.obs.test_events import SAMPLES
+
+        records = [r for r in SAMPLES if isinstance(r, SIM_EVENTS)]
+        instants = [e for e in sim_trace_events(records) if e["ph"] == "i"]
+        assert [e["name"] for e in instants] == [c.event for c in SIM_EVENTS]
+        tids = {e["tid"] for e in instants}
+        assert tids <= set(range(SIM_TID_PIPELINE, SIM_TID_BCACHE + 1))
+        # Record fields other than the cycle/kernel stamp become args.
+        assert instants[0]["args"] == {"mechanism": "save", "seq": 1, "kind": "vfma"}
 
     def test_inflight_counter_returns_to_zero(self):
         counters = [

@@ -4,51 +4,79 @@ import json
 
 import pytest
 
+from repro.obs import servereport
+from repro.obs.events import (
+    EVENT_SCHEMA_VERSION,
+    SERVE_EVENTS,
+    Access,
+    Complete,
+    EventWriter,
+    Ingress,
+    Phase,
+    Sim,
+    Snapshot,
+)
 from repro.obs.servereport import (
     BACKPRESSURE_GAP_S,
-    REPORT_LATENCY_PHASES,
-    REQLOG_CONSUMED_EVENTS,
     analyze_request_events,
     analyze_request_log,
     render_serve_markdown,
     serve_report_main,
 )
-from repro.obs.telemetry import (
-    LATENCY_PHASES,
-    REQLOG_SCHEMA_VERSION,
-    REQUEST_EVENT_FIELDS,
-    RequestLog,
-)
-
-
-def ev(kind, ts=1.0, **fields):
-    return {"v": REQLOG_SCHEMA_VERSION, "ts": ts, "event": kind, **fields}
+from repro.obs.telemetry import LATENCY_PHASES, stamp
 
 
 def ingress(outcome="accepted", ts=1.0, trace="t1"):
-    return ev("ingress", ts=ts, trace_id=trace, key="k", outcome=outcome)
+    return Ingress(ts=ts, trace_id=trace, key="k", outcome=outcome)
 
 
 def phase(name, wall, trace="t1", ts=2.0):
-    return ev("phase", ts=ts, trace_id=trace, phase=name, wall_s=wall)
+    return Phase(ts=ts, trace_id=trace, phase=name, wall_s=wall)
 
 
 def complete(status="done", wall=1.0, trace="t1", ts=3.0):
-    return ev("complete", ts=ts, trace_id=trace, key="k", status=status,
-              wall_s=wall)
+    return Complete(ts=ts, trace_id=trace, key="k", status=status, wall_s=wall)
 
 
 def sim(trace_ids=("t1",), wall=0.1, engine="fast", ts=2.5):
-    return ev("sim", ts=ts, trace_ids=list(trace_ids), point=[0.1, 0.2],
-              wall_s=wall, engine=engine)
+    return Sim(ts=ts, trace_ids=list(trace_ids), point=[0.1, 0.2],
+               wall_s=wall, engine=engine)
+
+
+def snapshot(queue_depth=1, active=1, oldest_age_s=0.2, ts=4.0):
+    return Snapshot(ts=ts, queue_depth=queue_depth, active=active,
+                    oldest_age_s=oldest_age_s, counters={})
+
+
+def access(ts=5.0):
+    return Access(ts=ts, trace_id="t1", method="POST", path="/v1/submit",
+                  status=202, wall_s=0.002)
 
 
 class TestContractTables:
     def test_consumer_tables_mirror_the_schema_exactly(self):
-        # Belt and braces next to the static schema-drift rule: the
-        # runtime values must agree, not just the parsed literals.
-        assert REQLOG_CONSUMED_EVENTS == REQUEST_EVENT_FIELDS
-        assert REPORT_LATENCY_PHASES == LATENCY_PHASES
+        # The report tabulates the recorder's own phase tuple, and one
+        # record of every serve class is counted somewhere — no kind
+        # is silently dropped.
+        assert servereport.LATENCY_PHASES is LATENCY_PHASES
+        records = [ingress(), phase("simulate", 0.5), sim(), complete(),
+                   access(), snapshot()]
+        assert [type(r) for r in records] == list(SERVE_EVENTS)
+        analysis = analyze_request_events(records)
+        assert analysis.submits == 1
+        assert analysis.phase_samples["simulate"] == [0.5]
+        assert analysis.sim_points == 1
+        assert analysis.complete_statuses == {"done": 1}
+        assert analysis.access_statuses == {202: 1}
+        assert analysis.snapshots == 1
+
+    def test_non_serve_record_is_refused(self):
+        from repro.obs.events import Retire
+
+        with pytest.raises(TypeError, match="Retire"):
+            analyze_request_events(
+                [Retire(cycle=0, kernel="k", mechanism="save", seq=0)]
+            )
 
 
 class TestAnalysisRates:
@@ -158,10 +186,8 @@ class TestBackpressureEpisodes:
 class TestRingSnapshots:
     def test_peaks_tracked(self):
         analysis = analyze_request_events([
-            ev("snapshot", queue_depth=3, active=1, oldest_age_s=0.5,
-               counters={}),
-            ev("snapshot", queue_depth=7, active=2, oldest_age_s=0.1,
-               counters={}),
+            snapshot(queue_depth=3, active=1, oldest_age_s=0.5),
+            snapshot(queue_depth=7, active=2, oldest_age_s=0.1),
         ])
         assert analysis.snapshots == 2
         assert analysis.peak_queue_depth == 7
@@ -174,10 +200,8 @@ class TestRendering:
             ingress("accepted"), ingress("cached"),
             phase("queue_wait", 0.01), phase("simulate", 0.2),
             sim(("t1",)), complete(wall=0.25),
-            ev("access", trace_id="t1", method="POST", path="/v1/submit",
-               status=202, wall_s=0.002),
-            ev("snapshot", queue_depth=1, active=1, oldest_age_s=0.2,
-               counters={}),
+            access(),
+            snapshot(),
         ]
 
     def test_all_sections_render(self):
@@ -195,7 +219,7 @@ class TestRendering:
 
     def test_every_report_phase_appears_in_the_table(self):
         text = render_serve_markdown(analyze_request_events(self.events()))
-        for name in REPORT_LATENCY_PHASES:
+        for name in LATENCY_PHASES:
             assert f"| {name} |" in text
 
     def test_quiet_log_renders_the_empty_states(self):
@@ -207,11 +231,11 @@ class TestRendering:
 class TestCli:
     def write_log(self, tmp_path):
         path = tmp_path / "req.jsonl"
-        with RequestLog(path) as log:
-            log.log_event("ingress", trace_id="t1", key="k",
-                          outcome="accepted")
-            log.log_event("complete", trace_id="t1", key="k", status="done",
-                          wall_s=0.5)
+        with EventWriter(path) as log:
+            log.emit(stamp(Ingress, trace_id="t1", key="k",
+                           outcome="accepted"))
+            log.emit(stamp(Complete, trace_id="t1", key="k", status="done",
+                           wall_s=0.5))
         return path
 
     def test_report_to_stdout(self, tmp_path, capsys):
@@ -234,16 +258,15 @@ class TestCli:
     def test_invalid_event_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(
-            {"v": REQLOG_SCHEMA_VERSION, "ts": 1.0, "event": "bogus"}
+            {"v": EVENT_SCHEMA_VERSION, "ts": 1.0, "event": "bogus"}
         ) + "\n")
         assert serve_report_main([str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
     def test_rotated_ring_segment_is_included(self, tmp_path):
         path = tmp_path / "ring.jsonl"
-        with RequestLog(path, ring_limit=2) as ring:
+        with EventWriter(path, ring_limit=2) as ring:
             for i in range(3):
-                ring.log_event("snapshot", queue_depth=i, active=0,
-                               oldest_age_s=0.0, counters={})
+                ring.emit(snapshot(queue_depth=i, active=0, oldest_age_s=0.0))
         analysis = analyze_request_log(str(path))
         assert analysis.snapshots == 3

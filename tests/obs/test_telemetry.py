@@ -1,4 +1,4 @@
-"""Request-log telemetry units: schema, ring, percentiles, Prometheus."""
+"""Request-log telemetry units: records, ring, percentiles, Prometheus."""
 
 import json
 import os
@@ -6,25 +6,32 @@ import threading
 
 import pytest
 
+from repro.obs.events import (
+    EVENT_SCHEMA_VERSION,
+    EVENT_TYPES,
+    NULL_SINK,
+    SERVE_EVENTS,
+    Complete,
+    EventWriter,
+    Ingress,
+    NullSink,
+    ServeEvent,
+    Snapshot,
+    TraceFormatError,
+    read_events,
+)
 from repro.obs.metrics import MetricsRegistry, log2_bucket
 from repro.obs.telemetry import (
     LATENCY_PHASES,
     LATENCY_QUANTILES,
-    NULL_REQUEST_LOG,
-    REQLOG_SCHEMA_VERSION,
-    REQUEST_EVENT_FIELDS,
     LatencyRecorder,
-    NullRequestLog,
-    RequestLog,
     ServeTelemetry,
     exact_percentile,
     new_trace_id,
-    read_request_log,
     render_prometheus,
-    validate_request_event,
+    stamp,
     wants_prometheus,
 )
-from repro.obs.trace import TraceFormatError
 
 
 def make_event(kind="ingress", **overrides):
@@ -40,36 +47,55 @@ def make_event(kind="ingress", **overrides):
         "snapshot": {"queue_depth": 0, "active": 0, "oldest_age_s": 0.0,
                      "counters": {}},
     }[kind]
-    event = {"ts": 1.5, "event": kind, **base}
+    event = {"v": EVENT_SCHEMA_VERSION, "ts": 1.5, "event": kind, **base}
     event.update(overrides)
-    return event
+    return {k: v for k, v in event.items() if v is not _DROP}
+
+
+_DROP = object()
+
+
+def read_line(tmp_path, event):
+    path = tmp_path / "req.jsonl"
+    path.write_text(json.dumps(event) + "\n")
+    return list(read_events(str(path), ServeEvent))
+
+
+def ingress(writer, trace_id="t", outcome="accepted"):
+    writer.emit(stamp(Ingress, trace_id=trace_id, key="k", outcome=outcome))
+
+
+def snapshot(writer, depth):
+    writer.emit(stamp(Snapshot, queue_depth=depth, active=0,
+                      oldest_age_s=0.0, counters={}))
 
 
 class TestValidateRequestEvent:
-    @pytest.mark.parametrize("kind", sorted(REQUEST_EVENT_FIELDS))
-    def test_every_event_type_validates(self, kind):
-        validate_request_event(make_event(kind))
+    """The serve records are the request-log schema; the reader enforces it."""
 
-    def test_unknown_event_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown request-log event"):
-            validate_request_event({"ts": 1.0, "event": "nope"})
+    @pytest.mark.parametrize("kind", sorted(c.event for c in SERVE_EVENTS))
+    def test_every_event_type_validates(self, kind, tmp_path):
+        (record,) = read_line(tmp_path, make_event(kind))
+        assert type(record) is EVENT_TYPES[kind]
+        assert record.ts == 1.5
 
-    def test_missing_common_field_rejected(self):
-        event = make_event()
-        del event["ts"]
-        with pytest.raises(ValueError, match="common field 'ts'"):
-            validate_request_event(event)
+    def test_unknown_event_type_rejected(self, tmp_path):
+        with pytest.raises(TraceFormatError, match="unknown event kind"):
+            read_line(tmp_path, {"v": EVENT_SCHEMA_VERSION, "ts": 1.0,
+                                 "event": "nope"})
 
-    def test_missing_required_field_rejected(self):
-        event = make_event("ingress")
-        del event["outcome"]
-        with pytest.raises(ValueError, match="'outcome'"):
-            validate_request_event(event)
+    def test_missing_common_field_rejected(self, tmp_path):
+        with pytest.raises(TraceFormatError, match="missing field.*ts"):
+            read_line(tmp_path, make_event(ts=_DROP))
+
+    def test_missing_required_field_rejected(self, tmp_path):
+        with pytest.raises(TraceFormatError, match="outcome"):
+            read_line(tmp_path, make_event("ingress", outcome=_DROP))
 
     @pytest.mark.parametrize("ts", [-1.0, True, "now", None])
-    def test_bad_ts_rejected(self, ts):
-        with pytest.raises(ValueError, match="ts"):
-            validate_request_event(make_event(ts=ts))
+    def test_bad_ts_rejected(self, ts, tmp_path):
+        with pytest.raises(TraceFormatError, match="ts"):
+            read_line(tmp_path, make_event(ts=ts))
 
 
 class TestNewTraceId:
@@ -82,48 +108,41 @@ class TestNewTraceId:
 class TestRequestLog:
     def test_round_trip_through_reader(self, tmp_path):
         path = tmp_path / "req.jsonl"
-        with RequestLog(path) as log:
-            log.log_event("ingress", trace_id="t1", key="k", outcome="accepted")
-            log.log_event("complete", trace_id="t1", key="k", status="done",
-                          wall_s=0.25)
-        events = list(read_request_log(str(path)))
-        assert [e["event"] for e in events] == ["ingress", "complete"]
-        for event in events:
-            validate_request_event(event)
-            assert event["v"] == REQLOG_SCHEMA_VERSION
+        with EventWriter(path) as log:
+            ingress(log, "t1")
+            log.emit(stamp(Complete, trace_id="t1", key="k", status="done",
+                           wall_s=0.25))
+        events = list(read_events(str(path), ServeEvent))
+        assert [e.event for e in events] == ["ingress", "complete"]
+        for line in path.read_text().splitlines():
+            assert json.loads(line)["v"] == EVENT_SCHEMA_VERSION
         assert log.events_written == 2
 
     def test_lines_are_compact_json(self, tmp_path):
         path = tmp_path / "req.jsonl"
-        with RequestLog(path) as log:
-            log.log_event("ingress", trace_id="t", key="k", outcome="dedup")
+        with EventWriter(path) as log:
+            ingress(log, outcome="dedup")
         raw = path.read_text().strip()
         assert json.loads(raw)["outcome"] == "dedup"
         assert ": " not in raw and ", " not in raw
 
     def test_wrong_schema_version_rejected_by_reader(self, tmp_path):
-        path = tmp_path / "req.jsonl"
-        record = dict(make_event(), v=REQLOG_SCHEMA_VERSION + 1)
-        path.write_text(json.dumps(record) + "\n")
         with pytest.raises(TraceFormatError, match="version"):
-            list(read_request_log(str(path)))
+            read_line(tmp_path, make_event(v=EVENT_SCHEMA_VERSION + 1))
 
     def test_log_after_close_is_a_noop(self, tmp_path):
-        log = RequestLog(tmp_path / "req.jsonl")
-        log.log_event("ingress", trace_id="t", key="k", outcome="accepted")
+        log = EventWriter(tmp_path / "req.jsonl")
+        ingress(log)
         log.close()
-        log.log_event("ingress", trace_id="t2", key="k", outcome="accepted")
+        ingress(log, "t2")
         assert log.events_written == 1
 
     def test_concurrent_writers_never_interleave_lines(self, tmp_path):
         path = tmp_path / "req.jsonl"
-        with RequestLog(path) as log:
+        with EventWriter(path) as log:
             def spam(worker):
                 for i in range(50):
-                    log.log_event(
-                        "ingress",
-                        trace_id=f"w{worker}-{i}", key="k", outcome="accepted",
-                    )
+                    ingress(log, f"w{worker}-{i}")
             threads = [
                 threading.Thread(target=spam, args=(w,)) for w in range(4)
             ]
@@ -131,55 +150,50 @@ class TestRequestLog:
                 t.start()
             for t in threads:
                 t.join()
-        events = list(read_request_log(str(path)))
+        events = list(read_events(str(path), ServeEvent))
         assert len(events) == 200
-        for event in events:
-            validate_request_event(event)
+        assert {e.trace_id for e in events} == {
+            f"w{w}-{i}" for w in range(4) for i in range(50)
+        }
 
 
 class TestRingRotation:
     def test_disk_bounded_at_two_segments(self, tmp_path):
         path = tmp_path / "ring.jsonl"
-        with RequestLog(path, ring_limit=3) as ring:
+        with EventWriter(path, ring_limit=3) as ring:
             for i in range(8):
-                ring.log_event(
-                    "snapshot", queue_depth=i, active=0, oldest_age_s=0.0,
-                    counters={},
-                )
+                snapshot(ring, i)
         assert os.path.exists(ring.rotated_path)
-        events = list(read_request_log(str(path)))
+        events = list(read_events(str(path)))
         # 8 writes, limit 3: rotations at 3 and 6; .old holds [3,6),
         # the live segment holds [6,8) — never more than 2*limit.
-        assert [e["queue_depth"] for e in events] == [3, 4, 5, 6, 7]
+        assert [e.queue_depth for e in events] == [3, 4, 5, 6, 7]
         assert len(events) <= 2 * 3
         assert ring.events_written == 8
 
     def test_reader_without_rotation_sees_everything(self, tmp_path):
         path = tmp_path / "ring.jsonl"
-        with RequestLog(path, ring_limit=100) as ring:
+        with EventWriter(path, ring_limit=100) as ring:
             for i in range(5):
-                ring.log_event(
-                    "snapshot", queue_depth=i, active=0, oldest_age_s=0.0,
-                    counters={},
-                )
+                snapshot(ring, i)
         assert not os.path.exists(ring.rotated_path)
-        assert len(list(read_request_log(str(path)))) == 5
+        assert len(list(read_events(str(path)))) == 5
 
     def test_non_positive_ring_limit_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="ring_limit"):
-            RequestLog(tmp_path / "r.jsonl", ring_limit=0)
+            EventWriter(tmp_path / "r.jsonl", ring_limit=0)
 
 
 class TestNullRequestLog:
-    def test_disabled_and_silent(self, tmp_path):
-        null = NullRequestLog()
+    def test_disabled_and_silent(self):
+        null = NullSink()
         assert not null.enabled
-        null.log_event("ingress", trace_id="t", key="k", outcome="accepted")
+        null.emit(stamp(Ingress, trace_id="t", key="k", outcome="accepted"))
         null.flush()
         null.close()
         assert null.events_written == 0
-        assert NULL_REQUEST_LOG is not null  # singleton is its own object
-        assert not NULL_REQUEST_LOG.enabled
+        assert NULL_SINK is not null  # singleton is its own object
+        assert not NULL_SINK.enabled
 
 
 class TestExactPercentile:
@@ -262,18 +276,23 @@ class TestServeTelemetry:
         assert telemetry.latency.count("e2e") == 1
 
     def test_record_phase_clamps_negative_walls(self, tmp_path):
-        with ServeTelemetry(log=RequestLog(tmp_path / "r.jsonl")) as telemetry:
+        with ServeTelemetry(log=EventWriter(tmp_path / "r.jsonl")) as telemetry:
             assert telemetry.enabled
             telemetry.record_phase("t1", "e2e", -0.5)
-        (event,) = read_request_log(str(tmp_path / "r.jsonl"))
-        assert event["wall_s"] == 0.0
+        (event,) = read_events(str(tmp_path / "r.jsonl"))
+        assert event.wall_s == 0.0
 
     def test_close_closes_log_and_ring(self, tmp_path):
-        log = RequestLog(tmp_path / "log.jsonl")
-        ring = RequestLog(tmp_path / "ring.jsonl", ring_limit=8)
+        log = EventWriter(tmp_path / "log.jsonl")
+        ring = EventWriter(tmp_path / "ring.jsonl", ring_limit=8)
         ServeTelemetry(log=log, ring=ring).close()
-        log.log_event("ingress", trace_id="t", key="k", outcome="accepted")
+        ingress(log)
         assert log.events_written == 0
+
+    def test_emit_with_logging_off_builds_no_record(self):
+        # The null log must stay a no-op: bogus fields are never checked
+        # because no record is constructed.
+        ServeTelemetry().emit(Ingress, not_a_field=1)
 
 
 class TestPrometheusExposition:

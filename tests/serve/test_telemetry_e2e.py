@@ -10,12 +10,10 @@ import urllib.request
 import pytest
 
 from repro.experiments.executor import SimExecutor
+from repro.obs.events import SERVE_EVENTS, EventWriter, ServeEvent
+from repro.obs.events import read_events as read_records
 from repro.obs.servereport import analyze_request_log
-from repro.obs.telemetry import (
-    RequestLog,
-    ServeTelemetry,
-    validate_request_event,
-)
+from repro.obs.telemetry import ServeTelemetry
 from repro.serve.client import Backpressure, ServeClient
 from repro.serve.http import PROMETHEUS_CONTENT_TYPE, make_server
 from repro.serve.schema import parse_request
@@ -43,9 +41,9 @@ def telemetry_service(tmp_path, *, ring=False, executor=None,
     defaults.update(config_overrides)
     log_path = tmp_path / "req.jsonl"
     telemetry = ServeTelemetry(
-        log=RequestLog(log_path),
+        log=EventWriter(log_path),
         ring=(
-            RequestLog(tmp_path / "ring.jsonl", ring_limit=64)
+            EventWriter(tmp_path / "ring.jsonl", ring_limit=64)
             if ring
             else None
         ),
@@ -57,13 +55,11 @@ def telemetry_service(tmp_path, *, ring=False, executor=None,
 
 
 def read_events(log_path):
-    events = []
-    from repro.obs.telemetry import read_request_log
-
-    for event in read_request_log(str(log_path)):
-        validate_request_event(event)
-        events.append(event)
-    return events
+    """The log's records as plain dicts (``event`` names the kind)."""
+    return [
+        {"event": record.event, **vars(record)}
+        for record in read_records(str(log_path), ServeEvent)
+    ]
 
 
 class TestTraceIdPropagation:
@@ -169,6 +165,20 @@ class TestSamplerRing:
         assert final["counters"].get("serve.requests") == 1
         gauges = service.metrics.snapshot()["gauges"]
         assert gauges.get("serve.oldest_request_age_s") == 0.0
+
+
+class TestEveryServeRecordClass:
+    def test_log_and_ring_carry_all_six_serve_classes(self, tmp_path):
+        with LiveTelemetryServer(
+            tmp_path, ring=True, telemetry_interval_s=0.05
+        ) as live:
+            ServeClient(live.base_url).run(body(), timeout=30)
+        kinds = {
+            type(record)
+            for name in (live.log_path, tmp_path / "ring.jsonl")
+            for record in read_records(str(name), ServeEvent)
+        }
+        assert kinds == set(SERVE_EVENTS)
 
 
 class LiveTelemetryServer:
