@@ -10,7 +10,7 @@ through pytest-benchmark.
 import pytest
 
 from repro.experiments.context import RunContext
-from repro.model.surface import SurfaceStore
+from repro.store import DEFAULT_STORE_ROOT
 
 
 def pytest_configure(config):
@@ -21,8 +21,8 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def store():
-    """Session-wide surface store (repo-level disk cache)."""
-    return SurfaceStore()
+    """Root of the repo-level sweep store the surface figures fill."""
+    return DEFAULT_STORE_ROOT
 
 
 @pytest.fixture

@@ -13,13 +13,11 @@ Run:  python examples/pruned_resnet_training.py
 from repro.kernels.tiling import Precision
 from repro.model.estimator import BASELINE, DYNAMIC, NetworkEstimator
 from repro.model.networks import RESNET50_PRUNED
-from repro.model.surface import SurfaceStore
 
 
 def main() -> None:
-    estimator = NetworkEstimator(
-        RESNET50_PRUNED, precision=Precision.MIXED, store=SurfaceStore(), k_steps=16
-    )
+    # Surfaces come from (and fill) the repo-level sweep store.
+    estimator = NetworkEstimator(RESNET50_PRUNED, precision=Precision.MIXED, k_steps=16)
     network = RESNET50_PRUNED
     print(f"{network.name}: {network.n_layers} conv layers, "
           f"pruning epochs {network.pruning.start_step}-{network.pruning.end_step} "

@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Optional
 from collections.abc import Sequence
 
 if TYPE_CHECKING:  # imports only for annotations; keeps this module cycle-free
+    from pathlib import Path
+
     from repro.experiments.executor import SimExecutor
-    from repro.model.surface import SurfaceStore
     from repro.obs import MetricsRegistry, SpanRecorder
 
 
@@ -50,9 +51,10 @@ class RunContext:
             Conventionally the same recorder installed on ``executor``;
             ``run_experiment`` opens an ``experiment:<id>`` span on it
             around each runner.
-        store: shared :class:`repro.model.surface.SurfaceStore` so
-            surface-backed experiments (fig14/fig16/scaling) can reuse
-            each other's interpolation surfaces across one session.
+        store: root of the sweep store that surface-backed
+            experiments (fig14/fig16/scaling) read their grid points
+            from and fill; ``None`` means the repo-level
+            ``.sweep_store/`` (:data:`repro.store.DEFAULT_STORE_ROOT`).
         levels: explicit sparsity levels for kernel sweeps, overriding
             the quick/full grid choice.
         samples: per-layer sparsity samples for Fig. 14's dynamic
@@ -75,7 +77,7 @@ class RunContext:
     panel: str = "all"
     metrics: Optional["MetricsRegistry"] = None
     spans: Optional["SpanRecorder"] = None
-    store: Optional["SurfaceStore"] = None
+    store: Optional["Path"] = None
     levels: Optional[Sequence[float]] = None
     samples: int = 5
     engine: str = "exact"

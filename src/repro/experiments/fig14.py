@@ -12,16 +12,19 @@ Four panels:
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional
 
 from repro.experiments.context import RunContext
+from repro.experiments.executor import SimExecutor
 from repro.experiments.report import ExperimentReport
 from repro.kernels.tiling import Precision
 from repro.model.estimator import NetworkEvaluation
 from repro.model.inference import evaluate_inference
 from repro.model.networks import GNMT, RESNET50_DENSE, RESNET50_PRUNED, VGG16
-from repro.model.surface import COARSE_LEVELS, PAPER_LEVELS, SurfaceStore
+from repro.model.surface import COARSE_LEVELS, PAPER_LEVELS
 from repro.model.training import evaluate_training
+from repro.store import DEFAULT_STORE_ROOT
 
 CNNS = (VGG16, RESNET50_DENSE, RESNET50_PRUNED)
 PRECISIONS = (Precision.FP32, Precision.MIXED)
@@ -39,8 +42,9 @@ PAPER_DYNAMIC = {
 }
 
 
-def _evaluate(panel: str, full_grid: bool, store: SurfaceStore, k_steps: int,
-              samples: int, engine: str = "exact") -> list[NetworkEvaluation]:
+def _evaluate(panel: str, full_grid: bool, store: Path, k_steps: int,
+              samples: int, engine: str = "exact",
+              executor: Optional[SimExecutor] = None) -> list[NetworkEvaluation]:
     levels = PAPER_LEVELS if full_grid else COARSE_LEVELS
     evaluations: list[NetworkEvaluation] = []
     if panel == "a":
@@ -57,7 +61,7 @@ def _evaluate(panel: str, full_grid: bool, store: SurfaceStore, k_steps: int,
                 evaluations.append(
                     evaluate_inference(
                         network, precision, store=store, levels=levels,
-                        k_steps=k_steps, engine=engine,
+                        k_steps=k_steps, engine=engine, executor=executor,
                     )
                 )
             else:
@@ -70,6 +74,7 @@ def _evaluate(panel: str, full_grid: bool, store: SurfaceStore, k_steps: int,
                         k_steps=k_steps,
                         samples=samples,
                         engine=engine,
+                        executor=executor,
                     )
                 )
     return evaluations
@@ -78,18 +83,14 @@ def _evaluate(panel: str, full_grid: bool, store: SurfaceStore, k_steps: int,
 def run(ctx: Optional[RunContext] = None) -> ExperimentReport:
     """Render Fig. 14 (or one panel of it)."""
     ctx = ctx if ctx is not None else RunContext()
-    store = ctx.store
-    if store is None:
-        store = SurfaceStore(executor=ctx.executor)
-    elif ctx.executor is not None:
-        store.executor = ctx.executor
+    store = ctx.store if ctx.store is not None else DEFAULT_STORE_ROOT
     k_steps = ctx.resolve_k_steps(16)
     panels = ("a", "b", "c", "d") if ctx.panel == "all" else (ctx.panel,)
     rows = []
     data: dict[str, dict] = {}
     for p in panels:
         for evaluation in _evaluate(
-            p, ctx.full_grid, store, k_steps, ctx.samples, ctx.engine
+            p, ctx.full_grid, store, k_steps, ctx.samples, ctx.engine, ctx.executor
         ):
             key = f"14{p}/{evaluation.network}/{evaluation.precision.value}"
             data[key] = {

@@ -13,24 +13,31 @@ bucket the caps.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional
+from collections.abc import Callable
 
 from repro.core.config import BASELINE_2VPU, SAVE_1VPU, SAVE_2VPU, MachineConfig
 from repro.experiments.context import RunContext
 from repro.experiments.report import ExperimentReport
 from repro.kernels.conv import Phase
 from repro.kernels.lstm import LstmShape
-from repro.kernels.tiling import Precision
+from repro.kernels.tiling import Precision, RegisterTile
 from repro.model.multicore import MulticoreSplit
 from repro.model.networks import GNMT, RESNET50_DENSE, VGG16
 from repro.model.phases import kernel_tile_for_phase
 from repro.model.roofline import layer_traffic_bytes
-from repro.model.surface import SurfaceStore
+from repro.model.surface import SparsitySurface
+from repro.store import DEFAULT_STORE_ROOT
 
 BUCKETS = ((1.0, 1.2), (1.2, 1.4), (1.4, 1.6), (1.6, 1.8), (1.8, 2.0), (2.0, 99.0))
 BUCKET_LABELS = ("1.0-1.2x", "1.2-1.4x", "1.4-1.6x", "1.6-1.8x", "1.8-2.0x", ">2.0x")
 
 CONFIGS: dict[str, MachineConfig] = {"2 VPUs": SAVE_2VPU, "1 VPU": SAVE_1VPU}
+MACHINES: dict[str, MachineConfig] = {"baseline": BASELINE_2VPU, **CONFIGS}
+
+#: The saturating sparsity a cap is measured at, on both axes.
+HIGH = 0.9
 
 
 def studied_kernels() -> list[tuple[object, Phase, bool]]:
@@ -57,19 +64,37 @@ def studied_kernels() -> list[tuple[object, Phase, bool]]:
     return kernels
 
 
+def _surface_loader(
+    precision: Precision, store: Path, k_steps: int, ctx: RunContext
+) -> Callable[[str, RegisterTile], SparsitySurface]:
+    """``load(machine name, tile)``: one precision's surfaces, each built once."""
+    surfaces: dict[tuple[str, RegisterTile], SparsitySurface] = {}
+
+    def load(name: str, tile: RegisterTile) -> SparsitySurface:
+        if (name, tile) not in surfaces:
+            machine = MACHINES[name]
+            # The baseline is sparsity-independent: a single-point grid.
+            levels = (0.0, HIGH) if machine.save.enabled else (0.0,)
+            surfaces[(name, tile)] = SparsitySurface.build(
+                tile, precision, machine, store, levels=levels,
+                k_steps=k_steps, executor=ctx.executor, engine=ctx.engine,
+            )
+        return surfaces[(name, tile)]
+
+    return load
+
+
 def _cap(
     layer,
     phase: Phase,
     lstm: bool,
     precision: Precision,
-    machine: MachineConfig,
-    store: SurfaceStore,
+    label: str,
+    surface: Callable[[str, RegisterTile], SparsitySurface],
     split: MulticoreSplit,
-    k_steps: int,
-    high: float = 0.9,
-    engine: str = "exact",
+    high: float = HIGH,
 ) -> float:
-    """Speedup at saturating sparsity for one kernel."""
+    """Speedup at saturating sparsity for one kernel on machine ``label``."""
     tile = kernel_tile_for_phase(phase, lstm=lstm)
     batch = 84 if lstm else 28
     element_bytes = 2 if precision == Precision.MIXED else 4
@@ -77,17 +102,11 @@ def _cap(
     fmas = layer.macs(phase, batch=batch) / macs_per_fma
     traffic = layer_traffic_bytes(layer, phase, batch, element_bytes)
 
-    base_surface = store.get(
-        tile, precision, BASELINE_2VPU, levels=(0.0,), k_steps=k_steps,
-        engine=engine,
+    base_time = split.layer_time_ns(
+        fmas, surface("baseline", tile).interpolate(0, 0), traffic
     )
-    save_surface = store.get(
-        tile, precision, machine, levels=(0.0, high), k_steps=k_steps,
-        engine=engine,
-    )
-    base_time = split.layer_time_ns(fmas, base_surface.interpolate(0, 0), traffic)
     save_time = split.layer_time_ns(
-        fmas, save_surface.interpolate(high, high), traffic
+        fmas, surface(label, tile).interpolate(high, high), traffic
     )
     return base_time / save_time
 
@@ -95,11 +114,7 @@ def _cap(
 def run(ctx: Optional[RunContext] = None) -> ExperimentReport:
     """Render the Fig. 16 speedup-cap histograms."""
     ctx = ctx if ctx is not None else RunContext()
-    store = ctx.store
-    if store is None:
-        store = SurfaceStore(executor=ctx.executor)
-    elif ctx.executor is not None:
-        store.executor = ctx.executor
+    store = ctx.store if ctx.store is not None else DEFAULT_STORE_ROOT
     k_steps = ctx.resolve_k_steps(16)
     split = MulticoreSplit()
     kernels = studied_kernels()
@@ -107,15 +122,13 @@ def run(ctx: Optional[RunContext] = None) -> ExperimentReport:
     data: dict[str, dict[str, list[int]]] = {}
     geomeans = {}
     for precision in (Precision.FP32, Precision.MIXED):
-        for label, machine in CONFIGS.items():
+        surface = _surface_loader(precision, store, k_steps, ctx)
+        for label in CONFIGS:
             conv_counts = [0] * len(BUCKETS)
             lstm_counts = [0] * len(BUCKETS)
             caps = []
             for layer, phase, lstm in kernels:
-                cap = _cap(
-                    layer, phase, lstm, precision, machine, store, split,
-                    k_steps, engine=ctx.engine,
-                )
+                cap = _cap(layer, phase, lstm, precision, label, surface, split)
                 caps.append(cap)
                 for b, (low, highb) in enumerate(BUCKETS):
                     if low <= cap < highb or (b == 0 and cap < low):

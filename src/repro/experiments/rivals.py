@@ -21,6 +21,7 @@ carries the realised level so figures stay honest.
 
 from __future__ import annotations
 
+import contextlib
 from pathlib import Path
 from typing import Any, Optional, Union
 from collections.abc import Sequence
@@ -33,6 +34,7 @@ from repro.experiments.sweeps import PAPER_SWEEP_LEVELS, QUICK_LEVELS
 from repro.kernels.library import KernelSpec, get_kernel
 from repro.obs import maybe_span
 from repro.rivals.mechanisms import MECHANISMS, resolve_mechanism
+from repro.store import SweepStore, SweepWriter, sweep_fingerprint
 
 __all__ = ["compare_mechanisms", "run"]
 
@@ -51,16 +53,16 @@ def compare_mechanisms(
     seed: int = 0,
     executor: Optional[SimExecutor] = None,
     store_root: Optional[Union[str, Path]] = None,
-    store_overwrite: bool = False,
 ) -> dict[str, Any]:
     """Sweep every mechanism over the shared grid; one executor batch.
 
     Returns a dict with the grid ``levels``, the baseline time, and per
     mechanism the speedup grid and raw times.  With ``store_root`` set,
-    each mechanism's raw point times are appended to the columnar sweep
-    store under its own mechanism-tagged fingerprint (metric
-    ``time_ns``), so ``repro query --group-by mechanism`` can aggregate
-    the comparison later without rerunning it.
+    each mechanism's raw point times live in the columnar sweep store
+    under its own mechanism-tagged fingerprint (metric ``time_ns``):
+    stored points are read back and only the missing ones join the
+    batch, so a rerun simulates just the dense baseline, and
+    ``repro query --group-by mechanism`` can aggregate the comparison.
     """
     spec = get_kernel(kernel)
     if not mechanisms:
@@ -69,42 +71,52 @@ def compare_mechanisms(
     base = spec.config(k_steps=k_steps, seed=seed)
     series = [
         PointJob(config=base, machine=machine, engine="exact", mechanism=m)
-        for m in mechanisms
+        for m in dict.fromkeys(mechanisms)
     ]
     # Validate every mechanism/kernel pairing before simulating
     # anything — a bad pairing should fail in milliseconds.
     for job in series:
         resolve_mechanism(job.mechanism, base, machine, "exact")
 
-    jobs = [PointJob(config=base, machine=baseline, engine="exact")]
-    for job in series:
-        jobs.extend(job.at(bs, nbs) for bs, nbs in points)
-    runner = default_executor(executor)
-    values = runner.map(jobs)
-    base_time, point_times = values[0], values[1:]
+    unique = list(dict.fromkeys(points))
+    known: dict[str, dict[tuple[float, float], float]] = {j.mechanism: {} for j in series}
+    writers: dict[str, SweepWriter] = {}
+    with contextlib.ExitStack() as stack:
+        if store_root is not None:
+            # Writers open in fingerprint order, so concurrent
+            # comparisons take the sweeps' locks in one global order.
+            for job in sorted(series, key=sweep_fingerprint):
+                known[job.mechanism] = SweepStore(store_root).points(job)
+                if any(point not in known[job.mechanism] for point in unique):
+                    writer = stack.enter_context(SweepWriter(store_root, job))
+                    writers[job.mechanism] = writer
+                    known[job.mechanism] = dict(writer.stored)
+        missing = {
+            m: [point for point in unique if point not in known[m]] for m in known
+        }
+        jobs = [PointJob(config=base, machine=baseline, engine="exact")]
+        for job in series:
+            jobs.extend(job.at(bs, nbs) for bs, nbs in missing[job.mechanism])
+        runner = default_executor(executor)
+        values = runner.map(jobs)
+        base_time, fresh = values[0], iter(values[1:])
+        for mechanism, todo in missing.items():
+            simulated = [next(fresh) for _ in todo]
+            known[mechanism].update(zip(todo, simulated))
+            if mechanism in writers:
+                writers[mechanism].append_batch(
+                    [bs for bs, _ in todo], [nbs for _, nbs in todo], simulated
+                )
 
     speedups: dict[str, dict[tuple[float, float], float]] = {}
     times: dict[str, list[float]] = {}
     with maybe_span(runner.spans, "compare.assemble", kernel=spec.name):
-        for m_index, mechanism in enumerate(mechanisms):
-            grid: dict[tuple[float, float], float] = {}
-            slice_times = point_times[
-                m_index * len(points) : (m_index + 1) * len(points)
-            ]
-            for (bs, nbs), time in zip(points, slice_times):
-                grid[(round(bs, 2), round(nbs, 2))] = base_time / time
-            speedups[mechanism] = grid
-            times[mechanism] = list(slice_times)
-    if store_root is not None:
-        from repro.store import SweepWriter
-
-        for job in series:
-            with SweepWriter(store_root, job, overwrite=store_overwrite) as writer:
-                writer.append_batch(
-                    [bs for bs, _ in points],
-                    [nbs for _, nbs in points],
-                    times[job.mechanism],
-                )
+        for mechanism in mechanisms:
+            times[mechanism] = [known[mechanism][point] for point in points]
+            speedups[mechanism] = {
+                (round(bs, 2), round(nbs, 2)): base_time / time
+                for (bs, nbs), time in zip(points, times[mechanism])
+            }
     return {
         "kernel": spec.name,
         "pattern": getattr(spec, "pattern", None),

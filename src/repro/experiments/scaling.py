@@ -20,7 +20,8 @@ from repro.kernels.tiling import Precision
 from repro.model.multicore import MulticoreSplit
 from repro.model.phases import kernel_tile_for_phase
 from repro.model.roofline import layer_traffic_bytes
-from repro.model.surface import SurfaceStore
+from repro.model.surface import SparsitySurface
+from repro.store import DEFAULT_STORE_ROOT
 
 CONV = ConvShape("conv3_2", 128, 128, 28, 28, kernel=3, stride=1, padding=1)
 LSTM = LstmShape("gnmt_cell", hidden=1024, input_size=1024, seq_len=30)
@@ -28,14 +29,8 @@ LSTM = LstmShape("gnmt_cell", hidden=1024, input_size=1024, seq_len=30)
 CORE_COUNTS = (1, 4, 8, 14, 28)
 
 
-def _layer_times(layer, lstm: bool, cores: int, store: SurfaceStore,
-                 k_steps: int, engine: str = "exact"):
+def _layer_times(layer, lstm: bool, cores: int, surface: SparsitySurface):
     """(compute time, memory time) for a weak-scaled layer."""
-    tile = kernel_tile_for_phase(Phase.FORWARD, lstm=lstm)
-    surface = store.get(
-        tile, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=k_steps,
-        engine=engine,
-    )
     bs, nbs = (0.2, 0.9) if lstm else (0.5, 0.0)
     ns_per_fma = surface.interpolate(bs, nbs)
     batch = 3 * cores if lstm else cores
@@ -51,19 +46,18 @@ def _layer_times(layer, lstm: bool, cores: int, store: SurfaceStore,
 def run(ctx: Optional[RunContext] = None) -> ExperimentReport:
     """Render the core-count scaling table."""
     ctx = ctx if ctx is not None else RunContext()
-    store = ctx.store
-    if store is None:
-        store = SurfaceStore(executor=ctx.executor)
-    elif ctx.executor is not None:
-        store.executor = ctx.executor
+    store = ctx.store if ctx.store is not None else DEFAULT_STORE_ROOT
     k_steps = ctx.resolve_k_steps(16)
     rows: list[tuple] = []
     data: dict[str, dict[int, float]] = {"conv": {}, "lstm": {}}
     for label, layer, lstm in (("conv", CONV, False), ("lstm", LSTM, True)):
+        surface = SparsitySurface.build(
+            kernel_tile_for_phase(Phase.FORWARD, lstm=lstm), Precision.FP32,
+            SAVE_2VPU, store, levels=(0.0, 0.9), k_steps=k_steps,
+            executor=ctx.executor, engine=ctx.engine,
+        )
         for cores in CORE_COUNTS:
-            compute, memory = _layer_times(
-                layer, lstm, cores, store, k_steps, ctx.engine
-            )
+            compute, memory = _layer_times(layer, lstm, cores, surface)
             time = max(compute, memory)
             bound_frac = memory / time
             data[label][cores] = bound_frac

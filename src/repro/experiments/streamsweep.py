@@ -4,9 +4,13 @@
 target: it walks the (BS, NBS) product lazily, simulates in fixed-size
 batches through the :class:`repro.experiments.executor.SimExecutor`,
 and appends each batch straight into the columnar sweep store
-(:class:`repro.store.SweepWriter`).  Peak memory is O(batch + segment),
-independent of grid size — the property the CI streaming-smoke job and
-the ``sweep_throughput`` bench workload pin down.
+(:class:`repro.store.SweepWriter`).  On a fresh sweep peak memory is
+O(batch + segment), independent of grid size — the property the CI
+streaming-smoke job and the ``sweep_throughput`` bench workload pin
+down.  A sweep is a growing set of points: a rerun reads what the sweep
+holds and simulates only the missing points, so an interrupted sweep
+resumes where it stopped.  Resuming holds the stored points in memory
+(roughly 200 bytes each).
 
 Results are byte-identical to the batched in-memory paths
 (``sweep_kernel``, ``SparsitySurface.build``) for the same grid: the
@@ -30,7 +34,13 @@ from repro.experiments.executor import (
 from repro.kernels.library import KernelSpec, get_kernel
 from repro.kernels.tiling import Precision
 from repro.obs import maybe_span
-from repro.store import DEFAULT_SEGMENT_ROWS, SweepWriter
+from repro.store import (
+    DEFAULT_SEGMENT_ROWS,
+    SweepStore,
+    SweepWriter,
+    sweep_fingerprint,
+    sweep_meta,
+)
 
 __all__ = ["stream_sweep", "DEFAULT_BATCH_POINTS"]
 
@@ -64,15 +74,14 @@ def stream_sweep(
     executor: Optional[SimExecutor] = None,
     batch_points: int = DEFAULT_BATCH_POINTS,
     segment_rows: int = DEFAULT_SEGMENT_ROWS,
-    overwrite: bool = False,
 ) -> dict[str, Any]:
     """Sweep one kernel/machine over a sparsity grid into the store.
 
     Args:
         kernel: library kernel name or spec.
         machine: the machine configuration to sweep under.
-        bs_levels / nbs_levels: sparsity axes; the sweep covers their
-            full product, batch by batch.
+        bs_levels / nbs_levels: sparsity axes (repeats are dropped); the
+            sweep covers their full product, batch by batch.
         store_root: sweep-store root directory.
         engine: simulation tier for every point (``fast`` is the tier
             that makes six-figure grids practical).
@@ -80,10 +89,11 @@ def stream_sweep(
             ``engine="exact"`` (validated up front, before any store
             directory is created).
         metric: per-point value recorded (``ns_per_fma`` or ``time_ns``).
-        overwrite: replace an existing sweep with the same identity.
 
-    Returns a summary dict: the sweep's fingerprint, its manifest meta
-    columns (kernel, machine label, engine, ...) and the points written.
+    Points the sweep already holds are not simulated again.  Returns a
+    summary dict: the sweep's fingerprint, its manifest meta columns
+    (kernel, machine label, engine, ...), the grid's ``points`` and how
+    many of them were ``simulated`` by this call.
     """
     if batch_points <= 0:
         raise ValueError("batch_points must be positive")
@@ -101,12 +111,21 @@ def stream_sweep(
         from repro.rivals.mechanisms import resolve_mechanism
 
         resolve_mechanism(mechanism, series.config, machine, engine)
+    bs_levels = list(dict.fromkeys(float(bs) for bs in bs_levels))
+    nbs_levels = list(dict.fromkeys(float(nbs) for nbs in nbs_levels))
+    summary = {
+        "fingerprint": sweep_fingerprint(series),
+        **sweep_meta(series),
+        "points": len(bs_levels) * len(nbs_levels),
+        "simulated": 0,
+    }
+    stored = SweepStore(store_root).points(series)
+    if all(point in stored for point in _grid(bs_levels, nbs_levels)):
+        return summary
+    del stored  # the writer re-reads the points under the sweep's lock
     runner = default_executor(executor)
-    points = _grid(bs_levels, nbs_levels)
-    total = 0
-    with SweepWriter(
-        store_root, series, segment_rows=segment_rows, overwrite=overwrite
-    ) as writer:
+    with SweepWriter(store_root, series, segment_rows=segment_rows) as writer:
+        points = (p for p in _grid(bs_levels, nbs_levels) if p not in writer.stored)
         with maybe_span(runner.spans, "streamsweep.run", kernel=spec.name):
             while True:
                 batch: list[tuple[float, float]] = []
@@ -122,5 +141,5 @@ def stream_sweep(
                     [nbs for _, nbs in batch],
                     values,
                 )
-                total += len(batch)
-    return {"fingerprint": writer.fingerprint, **writer.meta, "points": total}
+                summary["simulated"] += len(batch)
+    return summary

@@ -8,7 +8,6 @@ machine configurations and reports speedups over the paper's baseline
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 from collections.abc import Sequence
 
@@ -72,8 +71,6 @@ def sweep_kernel(
     executor: Optional[SimExecutor] = None,
     engine: str = "exact",
     mechanism: str = "save",
-    store_root: Optional[Path] = None,
-    store_overwrite: bool = False,
 ) -> dict[str, SweepResult]:
     """Sweep one kernel over the sparsity grid under each machine.
 
@@ -90,11 +87,6 @@ def sweep_kernel(
     sweep's speedup dicts are identical to a serial one's.  ``engine``
     selects the tier for every point, baseline included, so speedup
     ratios never mix tiers.
-
-    With ``store_root`` set, each machine's raw point times are also
-    appended to the columnar sweep store (one fingerprint-keyed sweep
-    per machine, metric ``time_ns``) so results stay queryable via
-    ``repro query`` after the figures are gone.
     """
     base = spec.config(precision=precision, k_steps=k_steps, seed=seed)
     series = [
@@ -116,14 +108,4 @@ def sweep_kernel(
                 time = point_times[m_index * len(points) + p_index]
                 speedups[(round(bs, 2), round(nbs, 2))] = base_time / time
             results[label] = SweepResult(label, speedups)
-    if store_root is not None:
-        from repro.store import SweepWriter
-
-        for m_index, job in enumerate(series):
-            with SweepWriter(store_root, job, overwrite=store_overwrite) as writer:
-                writer.append_batch(
-                    [bs for bs, _ in points],
-                    [nbs for _, nbs in points],
-                    point_times[m_index * len(points) : (m_index + 1) * len(points)],
-                )
     return results

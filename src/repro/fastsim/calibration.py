@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.config import BASELINE_2VPU, SAVE_1VPU, SAVE_2VPU, MachineConfig
 from repro.fastsim import engine as fast_engine
 from repro.fastsim.soa import TraceArrays
+from repro.kernels import TRACE_GENERATOR_VERSION
 from repro.kernels.library import KERNEL_LIBRARY, KernelSpec
 
 __all__ = [
@@ -91,8 +92,6 @@ def expected_fingerprint(
     seed: int = _DEFAULT_SEED,
 ) -> str:
     """Content hash of everything the committed fit depends on."""
-    from repro.model.surface import TRACE_GENERATOR_VERSION
-
     basis = {
         "schema": CALIBRATION_SCHEMA_VERSION,
         "trace_generator": TRACE_GENERATOR_VERSION,

@@ -1,19 +1,20 @@
 """Filesystem primitives shared by the on-disk stores.
 
-Both :class:`repro.model.surface.SurfaceStore` and
-:class:`repro.serve.store.ResultStore` are content-addressed JSON
-caches that may be written by several processes at once (a parallel
+The columnar sweep store (:mod:`repro.store`) and the serve
+:class:`repro.serve.store.ResultStore` are content-addressed caches
+that may be written by several processes at once (two figure runs, a
 sweep and a long-running service can race on the same entry).  Two
 primitives make that safe:
 
-* :func:`atomic_write_text` — write-to-temp + :func:`os.replace`, so a
-  reader can never observe a torn file: it sees either the old content
-  or the new content, never a partial write.
+* :func:`atomic_write_text` / :func:`atomic_write_bytes` — write-to-temp
+  + :func:`os.replace`, so a reader can never observe a torn file: it
+  sees either the old content or the new content, never a partial
+  write.
 * :class:`FileLock` — an advisory, inter-process exclusive lock on a
   sidecar ``.lock`` file (``fcntl.flock`` where available, with an
-  ``O_EXCL`` lockfile fallback elsewhere).  Builders take it around
+  ``O_EXCL`` lockfile fallback elsewhere).  Writers hold it around
   check-then-simulate-then-write so two processes never duplicate an
-  expensive build or interleave writes.
+  expensive simulation or interleave writes.
 """
 
 from __future__ import annotations

@@ -18,7 +18,12 @@
 """
 
 from repro.kernels.conv import ConvShape, Phase
-from repro.kernels.gemm import GemmKernelConfig, generate_gemm_stream, generate_gemm_trace
+from repro.kernels.gemm import (
+    TRACE_GENERATOR_VERSION,
+    GemmKernelConfig,
+    generate_gemm_stream,
+    generate_gemm_trace,
+)
 from repro.kernels.library import (
     KERNEL_LIBRARY,
     KernelSpec,
@@ -45,6 +50,7 @@ __all__ = [
     "Phase",
     "Precision",
     "RegisterTile",
+    "TRACE_GENERATOR_VERSION",
     "TraceStats",
     "TraceStream",
     "count_uops",

@@ -45,6 +45,11 @@ from repro.kernels.trace import KernelTrace
 from repro.memory.address import make_regions
 from repro.sparsity.generators import sparse_matrix
 
+#: Bump when the generator's layout or µop stream changes: it is part of
+#: every cached result's identity (sweep fingerprints, the fast tier's
+#: calibration fingerprint), so stale results are never reused.
+TRACE_GENERATOR_VERSION = 2
+
 #: The point axes: the config fields a sparsity sweep varies.  Every
 #: other field of a config (and of the job around it) names the series
 #: a point belongs to, so result keys and fast-tier stacks ignore these

@@ -28,7 +28,7 @@ from repro.model.networks import (
     NetworkModel,
 )
 from repro.model.phases import kernel_tile_for_phase, phase_sparsity
-from repro.model.surface import SparsitySurface, SurfaceStore
+from repro.model.surface import SparsitySurface
 from repro.model.roofline import layer_memory_time_ns
 from repro.model.multicore import MulticoreSplit
 
@@ -42,7 +42,6 @@ __all__ = [
     "RESNET50_DENSE",
     "RESNET50_PRUNED",
     "SparsitySurface",
-    "SurfaceStore",
     "VGG16",
     "kernel_tile_for_phase",
     "layer_memory_time_ns",

@@ -18,19 +18,21 @@ the per-kernel *dynamic* best.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 from collections.abc import Sequence
 
-
 from repro.core.config import BASELINE_2VPU, SAVE_1VPU, SAVE_2VPU, MachineConfig
+from repro.experiments.executor import SimExecutor
 from repro.kernels.conv import Phase
 from repro.kernels.lstm import LstmShape
-from repro.kernels.tiling import Precision
+from repro.kernels.tiling import Precision, RegisterTile
 from repro.model.multicore import MulticoreSplit
 from repro.model.networks import NetworkModel
 from repro.model.phases import kernel_tile_for_phase, phase_sparsity
 from repro.model.roofline import layer_traffic_bytes
-from repro.model.surface import COARSE_LEVELS, SparsitySurface, SurfaceStore
+from repro.model.surface import COARSE_LEVELS, SparsitySurface
+from repro.store import DEFAULT_STORE_ROOT
 
 #: Configuration labels in Fig. 14's bar order.
 BASELINE = "baseline"
@@ -103,23 +105,30 @@ class NetworkEvaluation:
 
 
 class NetworkEstimator:
-    """Computes per-kernel and whole-network times for one network."""
+    """Computes per-kernel and whole-network times for one network.
+
+    Surfaces come from the sweep store at ``store`` (default: the
+    repo-level store), filled through ``executor`` where points are
+    missing; each one is loaded once per estimator.
+    """
 
     def __init__(
         self,
         network: NetworkModel,
         precision: Precision = Precision.FP32,
-        store: Optional[SurfaceStore] = None,
+        store: Optional[Path] = None,
         levels: Sequence[float] = COARSE_LEVELS,
         k_steps: int = 24,
         split: Optional[MulticoreSplit] = None,
         cnn_batch: int = 28,
         lstm_batch: int = 84,
         engine: str = "exact",
+        executor: Optional[SimExecutor] = None,
     ) -> None:
         self.network = network
         self.precision = precision
-        self.store = store if store is not None else SurfaceStore()
+        self.store = store if store is not None else DEFAULT_STORE_ROOT
+        self.executor = executor
         self.levels = levels
         self.k_steps = k_steps
         self.split = split if split is not None else MulticoreSplit()
@@ -128,21 +137,22 @@ class NetworkEstimator:
         self.engine = engine
         self.element_bytes = 2 if precision == Precision.MIXED else 4
         self.macs_per_fma = 32 if precision == Precision.MIXED else 16
+        self._surfaces: dict[tuple[str, RegisterTile], SparsitySurface] = {}
 
     # ------------------------------------------------------------------
 
-    def _surface(self, phase: Phase, lstm: bool, machine: MachineConfig) -> SparsitySurface:
-        tile = kernel_tile_for_phase(phase, lstm=lstm)
-        if not machine.save.enabled:
+    def _surface(self, label: str, tile: RegisterTile) -> SparsitySurface:
+        surface = self._surfaces.get((label, tile))
+        if surface is None:
+            machine = MACHINES[label]
             # Baseline time is sparsity-independent: a single-point grid.
-            return self.store.get(
-                tile, self.precision, machine, levels=(0.0,),
-                k_steps=self.k_steps, engine=self.engine,
+            levels = self.levels if machine.save.enabled else (0.0,)
+            surface = SparsitySurface.build(
+                tile, self.precision, machine, self.store, levels=levels,
+                k_steps=self.k_steps, executor=self.executor, engine=self.engine,
             )
-        return self.store.get(
-            tile, self.precision, machine, levels=self.levels,
-            k_steps=self.k_steps, engine=self.engine,
-        )
+            self._surfaces[(label, tile)] = surface
+        return surface
 
     def _batch(self, layer) -> int:
         return self.lstm_batch if isinstance(layer, LstmShape) else self.cnn_batch
@@ -158,11 +168,11 @@ class NetworkEstimator:
         macs = layer.macs(phase, batch=batch)
         fmas = macs / self.macs_per_fma
         traffic = layer_traffic_bytes(layer, phase, batch, self.element_bytes)
+        tile = kernel_tile_for_phase(phase, lstm=lstm)
 
         times: dict[str, float] = {}
-        for label, machine in MACHINES.items():
-            surface = self._surface(phase, lstm, machine)
-            ns_per_fma = surface.interpolate(bs, nbs)
+        for label in MACHINES:
+            ns_per_fma = self._surface(label, tile).interpolate(bs, nbs)
             times[label] = self.split.layer_time_ns(fmas, ns_per_fma, traffic)
         category = self._category(layer_index, phase, lstm)
         return KernelEstimate(layer.name, phase, category, times)

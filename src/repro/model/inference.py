@@ -9,9 +9,11 @@ inference — so the bars are baseline / 2 VPUs / 1 VPU / dynamic.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional
 from collections.abc import Sequence
 
+from repro.experiments.executor import SimExecutor
 from repro.kernels.tiling import Precision
 from repro.model.estimator import (
     NetworkEstimator,
@@ -20,17 +22,18 @@ from repro.model.estimator import (
 )
 from repro.model.multicore import MulticoreSplit
 from repro.model.networks import NetworkModel
-from repro.model.surface import COARSE_LEVELS, SurfaceStore
+from repro.model.surface import COARSE_LEVELS
 
 
 def evaluate_inference(
     network: NetworkModel,
     precision: Precision = Precision.FP32,
-    store: Optional[SurfaceStore] = None,
+    store: Optional[Path] = None,
     levels: Sequence[float] = COARSE_LEVELS,
     k_steps: int = 24,
     split: Optional[MulticoreSplit] = None,
     engine: str = "exact",
+    executor: Optional[SimExecutor] = None,
 ) -> NetworkEvaluation:
     """Fig. 14a/b bars for one network × precision."""
     estimator = NetworkEstimator(
@@ -41,6 +44,7 @@ def evaluate_inference(
         k_steps=k_steps,
         split=split,
         engine=engine,
+        executor=executor,
     )
     final_step = network.total_steps
     estimates = estimator.step_estimates(final_step, training=False)

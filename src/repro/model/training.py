@@ -12,11 +12,13 @@ The *static* policy chooses the better VPU count once per sampled step
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Optional
 from collections.abc import Sequence
 
 import numpy as np
 
+from repro.experiments.executor import SimExecutor
 from repro.kernels.tiling import Precision
 from repro.model.estimator import (
     NetworkEstimator,
@@ -25,7 +27,7 @@ from repro.model.estimator import (
 )
 from repro.model.multicore import MulticoreSplit
 from repro.model.networks import NetworkModel
-from repro.model.surface import COARSE_LEVELS, SurfaceStore
+from repro.model.surface import COARSE_LEVELS
 
 
 def sampled_steps(total_steps: int, samples: int) -> list[float]:
@@ -40,12 +42,13 @@ def sampled_steps(total_steps: int, samples: int) -> list[float]:
 def evaluate_training(
     network: NetworkModel,
     precision: Precision = Precision.FP32,
-    store: Optional[SurfaceStore] = None,
+    store: Optional[Path] = None,
     levels: Sequence[float] = COARSE_LEVELS,
     k_steps: int = 24,
     samples: int = 8,
     split: Optional[MulticoreSplit] = None,
     engine: str = "exact",
+    executor: Optional[SimExecutor] = None,
 ) -> NetworkEvaluation:
     """Fig. 14c/d bars for one network × precision."""
     estimator = NetworkEstimator(
@@ -56,6 +59,7 @@ def evaluate_training(
         k_steps=k_steps,
         split=split,
         engine=engine,
+        executor=executor,
     )
     estimates_per_step = [
         estimator.step_estimates(step, training=True)

@@ -513,7 +513,11 @@ def trace_report_main(argv: Optional[list[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        analysis = analyze_file(args.file, window=args.window)
+        # One parse: the Chrome export reuses the records the report read.
+        events = read_events(args.file, SimEvent)
+        if args.chrome_trace:
+            events = list(events)
+        analysis = analyze_events(events, window=args.window)
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -527,11 +531,6 @@ def trace_report_main(argv: Optional[list[str]] = None) -> int:
     if args.chrome_trace:
         from repro.obs.chrometrace import write_chrome_trace
 
-        try:
-            events = list(read_events(args.file, SimEvent))
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         write_chrome_trace(args.chrome_trace, events=events)
         print(f"chrome trace -> {args.chrome_trace}")
     return 0

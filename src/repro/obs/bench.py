@@ -331,7 +331,6 @@ levels = [round(i * step, 6) for i in range(spec["grid"])]
 summary = stream_sweep(
     "resnet2_2_fwd", SAVE_2VPU, levels, levels, spec["store"],
     engine="fast", metric="time_ns", k_steps=spec["k_steps"],
-    overwrite=True,
 )
 total_ns = sum(
     row["value"]

@@ -195,8 +195,12 @@ def write_chrome_trace(
     spans: Optional[Sequence[SpanRecord]] = None,
     events: Optional[Iterable[SimEvent]] = None,
 ) -> str:
-    """Write the trace document to ``path``; returns the path."""
+    """Write the trace document to ``path``; returns the path.
+
+    One ``json.dumps`` and one write: ``json.dump`` streams through the
+    pure-Python encoder, about three times slower on a large trace.
+    """
     document = chrome_trace(spans=spans, events=events)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, separators=(",", ":"))
+        handle.write(json.dumps(document, separators=(",", ":")))
     return path

@@ -77,11 +77,10 @@ def compare_main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--store", default=None, metavar="DIR",
-        help="also record per-mechanism sweeps into this sweep store",
-    )
-    parser.add_argument(
-        "--overwrite", action="store_true",
-        help="replace existing store sweeps with the same identity",
+        help=(
+            "read and fill per-mechanism sweeps in this sweep store "
+            "(stored points are not simulated again)"
+        ),
     )
     parser.add_argument(
         "--out", default=None, metavar="DIR",
@@ -124,7 +123,6 @@ def compare_main(argv: Optional[list[str]] = None) -> int:
             seed=args.seed,
             executor=SimExecutor(jobs=args.jobs),
             store_root=args.store,
-            store_overwrite=args.overwrite,
         )
     except (UnknownKernelError, MechanismError) as error:
         # KeyError reprs its message in quotes; print the bare text.

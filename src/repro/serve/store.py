@@ -3,8 +3,8 @@
 Every completed request persists its result payload under its request
 fingerprint (see :mod:`repro.serve.schema`), so repeats — in the same
 service process, in a later one, or from a plain CLI run — are served
-from disk instead of re-simulating.  The disk format mirrors the
-surface cache: one JSON file per entry, published with
+from disk instead of re-simulating.  The disk format: one JSON file
+per entry, published with
 :func:`repro.fsio.atomic_write_text` under an advisory
 :class:`repro.fsio.FileLock`, stamped with
 :data:`~repro.serve.schema.SERVE_SCHEMA_VERSION` so entries written by
@@ -29,7 +29,7 @@ __all__ = ["ResultStore", "default_store_dir"]
 
 
 def default_store_dir() -> Path:
-    """Repo-level default, next to the surface cache."""
+    """Repo-level default, next to the sweep store."""
     return Path(__file__).resolve().parents[3] / ".serve_store"
 
 

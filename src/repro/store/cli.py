@@ -84,10 +84,6 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
         "--batch", type=int, default=None, metavar="POINTS",
         help="points simulated per executor batch",
     )
-    parser.add_argument(
-        "--overwrite", action="store_true",
-        help="replace an existing sweep with the same identity",
-    )
     args = parser.parse_args(argv)
 
     from repro.experiments.executor import SimExecutor
@@ -116,7 +112,6 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
             seed=args.seed,
             executor=SimExecutor(jobs=args.jobs),
             batch_points=args.batch if args.batch else DEFAULT_BATCH_POINTS,
-            overwrite=args.overwrite,
         )
     except MechanismError as error:
         print(str(error), file=sys.stderr)
@@ -125,7 +120,7 @@ def sweep_main(argv: Optional[list[str]] = None) -> int:
         print(str(error), file=sys.stderr)
         return 1
     print(
-        f"swept {summary['points']} points "
+        f"swept {summary['points']} points, {summary['simulated']} simulated "
         f"({summary['kernel']} on {summary['machine']}, "
         f"engine={summary['engine']}) -> {args.store}/{summary['fingerprint']}"
     )

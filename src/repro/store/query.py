@@ -16,13 +16,22 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any, Optional, TextIO, Union
+from typing import TYPE_CHECKING, Any, Optional, TextIO, Union
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.store.schema import QUERY_FIELDS
-from repro.store.writer import read_manifest
+from repro.store.schema import (
+    FILTER_FIELDS,
+    QUERY_FIELDS,
+    SWEEP_COLUMNS,
+    read_segment,
+    sweep_fingerprint,
+)
+from repro.store.writer import Point, read_manifest, stored_points
+
+if TYPE_CHECKING:
+    from repro.experiments.executor import PointJob
 
 __all__ = ["SweepStore"]
 
@@ -44,6 +53,10 @@ class SweepStore:
             if not manifest.is_file():
                 continue
             yield read_manifest(sweep_dir)
+
+    def points(self, series: PointJob) -> dict[Point, float]:
+        """One series' stored points, ``{(bs, nbs): value}``; lock-free."""
+        return stored_points(self.root / sweep_fingerprint(series))
 
     def describe(self) -> list[dict[str, Any]]:
         """One summary dict per sweep (identity + row count + state)."""
@@ -77,13 +90,9 @@ class SweepStore:
         fingerprint, segment, row) order — deterministic for a given
         store state.
         """
-        filters = {
-            "kernel": kernel,
-            "machine": machine,
-            "engine": engine,
-            "mechanism": mechanism,
-            "metric": metric,
-        }
+        filters = dict(
+            zip(FILTER_FIELDS, (kernel, machine, engine, mechanism, metric))
+        )
         for manifest in self.manifests():
             meta = manifest["meta"]
             if fingerprint is not None and manifest["fingerprint"] != fingerprint:
@@ -94,25 +103,19 @@ class SweepStore:
             ):
                 continue
             sweep_dir = self.root / manifest["fingerprint"]
-            identity = {name: meta[name] for name in filters}
+            identity = [meta[name] for name in FILTER_FIELDS]
             for entry in manifest["segments"]:
-                path = sweep_dir / entry["file"]
-                with np.load(path) as segment:
-                    bs = segment["bs"]
-                    nbs = segment["nbs"]
-                    value = segment["value"]
-                keep = np.ones(len(bs), dtype=bool)
+                segment = read_segment(sweep_dir / entry["file"])
+                keep = np.ones(len(segment["bs"]), dtype=bool)
                 if bs_range is not None:
+                    bs = segment["bs"]
                     keep &= (bs >= bs_range[0]) & (bs <= bs_range[1])
                 if nbs_range is not None:
+                    nbs = segment["nbs"]
                     keep &= (nbs >= nbs_range[0]) & (nbs <= nbs_range[1])
-                for i in np.flatnonzero(keep):
-                    yield {
-                        **identity,
-                        "bs": float(bs[i]),
-                        "nbs": float(nbs[i]),
-                        "value": float(value[i]),
-                    }
+                columns = [segment[name][keep].tolist() for name in SWEEP_COLUMNS]
+                for values in zip(*columns):
+                    yield dict(zip(QUERY_FIELDS, (*identity, *values)))
 
     def count(self, **filters: Any) -> int:
         """Number of rows a :meth:`query` with these filters would yield."""
@@ -186,12 +189,20 @@ class SweepStore:
 
     @staticmethod
     def write_csv(rows: Iterable[dict[str, Any]], out: TextIO) -> int:
-        """Write query rows as CSV in ``QUERY_FIELDS`` order; returns count."""
+        """Write query rows as CSV in ``QUERY_FIELDS`` order; returns count.
+
+        A row whose fields are not exactly ``QUERY_FIELDS`` is refused.
+        """
         writer = csv.writer(out)
         writer.writerow(QUERY_FIELDS)
         count = 0
         for row in rows:
-            writer.writerow([row[field] for field in QUERY_FIELDS])
+            if tuple(row) != QUERY_FIELDS:
+                raise ValueError(
+                    f"row fields {list(row)} are not QUERY_FIELDS "
+                    f"{list(QUERY_FIELDS)}"
+                )
+            writer.writerow(row.values())
             count += 1
         return count
 

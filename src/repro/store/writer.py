@@ -1,48 +1,65 @@
 """Append-only segment writer for the columnar sweep store.
 
-A :class:`SweepWriter` buffers points in memory up to ``segment_rows``,
-then publishes each full segment as one immutable NPZ file and records
-it in the manifest.  Both writes are atomic (:mod:`repro.fsio` temp +
-rename) and manifest updates are serialized under a :class:`FileLock`,
-so concurrent sweeps writing into one store directory never tear a
-segment or lose a manifest entry.
+A sweep is a growing set of points of one series, each held at most
+once.  A :class:`SweepWriter` opens the sweep (creating it on first
+use), holds the sweep's :class:`repro.fsio.FileLock` from open to
+close, and exposes the points stored before it opened
+(:attr:`SweepWriter.stored`) so a caller simulates only what is
+missing; appending one of those points raises :class:`StoreError`.
 
-Crash behaviour: segments are published before the manifest references
-them, so a crash leaves at worst an orphan segment file (harmless —
-readers only trust the manifest) and a sweep marked ``complete: false``.
+The writer buffers points up to ``segment_rows``, then publishes each
+full segment as one immutable NPZ file (:func:`write_segment`) and
+records it in the manifest.  Both writes are atomic (:mod:`repro.fsio`
+temp + rename) and the lock serializes the writers of one sweep, so
+concurrent fills never tear a segment or lose a manifest entry.
+Readers (:func:`stored_points`, :class:`repro.store.SweepStore`) take
+no lock: segments are published before the manifest references them.
+
+Crash behaviour: a crash leaves at worst an orphan segment file
+(harmless — readers only trust the manifest) and a sweep marked
+``complete: false``; its published points stay, and the next fill
+simulates only the rest.
+
+Memory: a writer on a fresh sweep holds one segment's buffer; a writer
+on an existing sweep also holds that sweep's stored points.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from types import TracebackType
 from typing import TYPE_CHECKING, Any, Optional, Union
 
-import numpy as np
-
-from repro.fsio import FileLock, atomic_write_bytes, atomic_write_text
+from repro.fsio import FileLock, atomic_write_text
 from repro.store.schema import (
     STORE_SCHEMA_VERSION,
     SWEEP_COLUMNS,
+    StoreError,
+    read_segment,
     sweep_fingerprint,
     sweep_meta,
     validate_meta,
+    write_segment,
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.experiments.executor import PointJob
 
-__all__ = ["SweepWriter", "StoreError"]
+__all__ = ["SweepWriter", "StoreError", "stored_points"]
 
 #: Default points per segment: large enough that NPZ overhead amortises,
 #: small enough that the writer's resident buffer stays trivial.
 DEFAULT_SEGMENT_ROWS = 4096
 
+#: The repo-level store the figures read and fill: anchored to the
+#: source tree, not the working directory, and gitignored.
+DEFAULT_STORE_ROOT = Path(__file__).resolve().parents[3] / ".sweep_store"
 
-class StoreError(RuntimeError):
-    """A sweep-store invariant was violated (version, state, or schema)."""
+#: A stored point's key: its ``(bs, nbs)`` sparsity levels.
+Point = tuple[float, float]
 
 
 def _manifest_path(sweep_dir: Path) -> Path:
@@ -65,8 +82,24 @@ def read_manifest(sweep_dir: Path) -> dict[str, Any]:
     return payload
 
 
+def _points(sweep_dir: Path, segments: list[dict[str, Any]]) -> dict[Point, float]:
+    points: dict[Point, float] = {}
+    for entry in segments:
+        arrays = read_segment(sweep_dir / entry["file"])
+        keys = zip(arrays["bs"].tolist(), arrays["nbs"].tolist())
+        points.update(zip(keys, arrays["value"].tolist()))
+    return points
+
+
+def stored_points(sweep_dir: Path) -> dict[Point, float]:
+    """Every point one sweep holds, ``{(bs, nbs): value}``; lock-free."""
+    if not _manifest_path(sweep_dir).exists():
+        return {}
+    return _points(sweep_dir, read_manifest(sweep_dir)["segments"])
+
+
 class SweepWriter:
-    """Incrementally writes one sweep's points into a store directory.
+    """Appends points to one sweep of a store directory.
 
     Args:
         root: store root directory (created on demand); each sweep
@@ -74,12 +107,10 @@ class SweepWriter:
         series: any job of the sweep; its canonical series is the
             sweep's identity and its sparsity levels are ignored.
         segment_rows: points buffered per published segment.
-        overwrite: if the sweep already exists, discard it and start
-            fresh instead of raising (append-only stores never silently
-            mix two runs' points).
 
     Use as a context manager: normal exit marks the sweep complete,
-    exceptional exit leaves it incomplete (queryable, flagged).
+    exceptional exit leaves it incomplete (queryable, flagged).  Either
+    way the lock is released.
     """
 
     def __init__(
@@ -87,7 +118,6 @@ class SweepWriter:
         root: Union[str, Path],
         series: PointJob,
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
-        overwrite: bool = False,
     ) -> None:
         if segment_rows <= 0:
             raise ValueError("segment_rows must be positive")
@@ -99,33 +129,20 @@ class SweepWriter:
         self.sweep_dir.mkdir(parents=True, exist_ok=True)
         self._buffer: dict[str, list[float]] = {c: [] for c in SWEEP_COLUMNS}
         self._closed = False
-        with self._lock():
-            manifest = self._load_or_none()
-            if manifest is not None and not overwrite:
-                raise StoreError(
-                    f"sweep {self.fingerprint} already exists in {self.root} "
-                    "(pass overwrite=True to replace it)"
-                )
-            if manifest is not None:
-                for entry in manifest.get("segments", []):
-                    seg = self.sweep_dir / entry["file"]
-                    if seg.exists():
-                        seg.unlink()
+        self._lock = FileLock(self.sweep_dir / "manifest.json.lock").acquire()
+        try:
             self._segments: list[dict[str, Any]] = []
-            self._rows = 0
-            self._write_manifest_locked(complete=False)
+            if _manifest_path(self.sweep_dir).exists():
+                self._segments = read_manifest(self.sweep_dir)["segments"]
+            self._rows = sum(entry["rows"] for entry in self._segments)
+            #: The points the sweep held when this writer opened.
+            self.stored: dict[Point, float] = _points(self.sweep_dir, self._segments)
+            self._write_manifest(complete=False)
+        except BaseException:
+            self._lock.release()
+            raise
 
-    # -- manifest ---------------------------------------------------------
-
-    def _lock(self) -> FileLock:
-        return FileLock(self.sweep_dir / "manifest.json.lock")
-
-    def _load_or_none(self) -> Optional[dict[str, Any]]:
-        if not _manifest_path(self.sweep_dir).exists():
-            return None
-        return read_manifest(self.sweep_dir)
-
-    def _write_manifest_locked(self, complete: bool) -> None:
+    def _write_manifest(self, complete: bool) -> None:
         payload = {
             "schema": STORE_SCHEMA_VERSION,
             "fingerprint": self.fingerprint,
@@ -158,46 +175,48 @@ class SweepWriter:
     def _append_columns(self, **values: float) -> None:
         if self._closed:
             raise StoreError("writer is closed")
+        if (values["bs"], values["nbs"]) in self.stored:
+            raise StoreError(
+                f"sweep {self.fingerprint} already holds the point "
+                f"({values['bs']}, {values['nbs']})"
+            )
         for column in SWEEP_COLUMNS:
             self._buffer[column].append(float(values[column]))
         if len(self._buffer["bs"]) >= self.segment_rows:
             self.flush()
 
     def flush(self) -> None:
-        """Publish the buffered points as one segment (no-op if empty)."""
+        """Publish the buffered points as one segment (no-op if empty).
+
+        Runs under the lock the writer already holds.
+        """
         count = len(self._buffer["bs"])
         if count == 0:
             return
-        arrays = {
-            column: np.asarray(self._buffer[column], dtype=dtype)
-            for column, dtype in SWEEP_COLUMNS.items()
-        }
-        index = len(self._segments)
-        name = f"seg-{index:06d}.npz"
-        blob = io.BytesIO()
-        np.savez_compressed(blob, **arrays)
-        atomic_write_bytes(self.sweep_dir / name, blob.getvalue())
+        name = f"seg-{len(self._segments):06d}.npz"
+        write_segment(self.sweep_dir / name, self._buffer)
         self._segments.append({"file": name, "rows": count})
         self._rows += count
         self._buffer = {c: [] for c in SWEEP_COLUMNS}
-        with self._lock():
-            self._write_manifest_locked(complete=False)
+        self._write_manifest(complete=False)
 
     # -- lifecycle --------------------------------------------------------
 
     @property
     def rows_written(self) -> int:
-        """Points published to segments so far (excludes the buffer)."""
+        """Points the sweep holds in published segments (not the buffer)."""
         return self._rows
 
     def close(self, complete: bool = True) -> None:
-        """Flush the tail segment and finalize the manifest."""
+        """Flush the tail segment, finalize the manifest, release the lock."""
         if self._closed:
             return
-        self.flush()
-        with self._lock():
-            self._write_manifest_locked(complete=complete)
-        self._closed = True
+        try:
+            self.flush()
+            self._write_manifest(complete=complete)
+        finally:
+            self._closed = True
+            self._lock.release()
 
     def __enter__(self) -> SweepWriter:
         return self

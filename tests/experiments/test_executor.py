@@ -1,4 +1,4 @@
-"""Tests for the execution layer: determinism, ordering, LRU memo.
+"""Tests for the execution layer: determinism and ordering.
 
 The contract under test: a parallel run is *indistinguishable* from a
 serial run — same speedup dicts, same surfaces, results always in job
@@ -23,7 +23,6 @@ from repro.kernels.library import get_kernel
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
 from repro.model.surface import (
     SparsitySurface,
-    SurfaceStore,
     point_config,
     simulate_point,
 )
@@ -147,57 +146,16 @@ class TestSweepDeterminism:
         for label in machines:
             assert parallel[label].speedups == serial[label].speedups
 
-    def test_parallel_surface_identical_to_serial(self):
+    def test_parallel_surface_identical_to_serial(self, tmp_path):
         serial = SparsitySurface.build(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4
+            TILE, Precision.FP32, SAVE_2VPU, tmp_path / "serial",
+            levels=(0.0, 0.9), k_steps=4,
         )
         parallel = SparsitySurface.build(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4,
-            executor=SimExecutor(jobs=2),
+            TILE, Precision.FP32, SAVE_2VPU, tmp_path / "parallel",
+            levels=(0.0, 0.9), k_steps=4, executor=SimExecutor(jobs=2),
         )
         assert np.array_equal(parallel.ns_per_fma, serial.ns_per_fma)
-
-
-class TestSurfaceStoreLru:
-    def test_memo_hit_skips_disk(self, tmp_path, monkeypatch):
-        store = SurfaceStore(tmp_path)
-        first = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4)
-
-        import repro.model.surface as surface_mod
-
-        def no_parse(*args, **kwargs):
-            raise AssertionError("memo hit must not re-parse the JSON file")
-
-        monkeypatch.setattr(surface_mod.json, "loads", no_parse)
-        again = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4)
-        assert again is first
-
-    def test_eviction_beyond_capacity(self, tmp_path):
-        store = SurfaceStore(tmp_path, memo_size=1)
-        a1 = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4)
-        store.get(TILE, Precision.FP32, SAVE_1VPU, levels=(0.0,), k_steps=4)
-        # A was evicted: this reloads from disk (new object, same data).
-        a2 = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4)
-        assert a2 is not a1
-        assert np.array_equal(a2.ns_per_fma, a1.ns_per_fma)
-
-    def test_lru_order_refreshed_by_get(self, tmp_path):
-        store = SurfaceStore(tmp_path, memo_size=2)
-        a = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4)
-        store.get(TILE, Precision.FP32, SAVE_1VPU, levels=(0.0,), k_steps=4)
-        # Touch A so B is now the least recently used, then add C.
-        assert store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4) is a
-        store.get(TILE, Precision.MIXED, SAVE_2VPU, levels=(0.0,), k_steps=4)
-        assert store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0,), k_steps=4) is a
-
-    def test_memo_size_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            SurfaceStore(tmp_path, memo_size=0)
-
-    def test_parallel_store_fill_writes_once(self, tmp_path):
-        store = SurfaceStore(tmp_path, executor=SimExecutor(jobs=2))
-        store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
-        assert len(list(tmp_path.glob("*.json"))) == 1
 
 
 class TestExecutorMetrics:
@@ -268,13 +226,13 @@ class TestExecutorSpans:
         assert executor.spans is None
         assert executor.map(_jobs(1))
 
-    def test_surface_build_records_span(self):
+    def test_surface_build_records_span(self, tmp_path):
         from repro.obs import SpanRecorder
 
         spans = SpanRecorder()
         executor = SimExecutor(jobs=1, spans=spans)
         SparsitySurface.build(
-            TILE, Precision.FP32, SAVE_2VPU,
+            TILE, Precision.FP32, SAVE_2VPU, tmp_path,
             levels=(0.0, 0.9), k_steps=4, executor=executor,
         )
         build_spans = [r for r in spans.records if r.name == "surface.build"]

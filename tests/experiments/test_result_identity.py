@@ -15,7 +15,6 @@ from repro.core.config import SAVE_2VPU
 from repro.experiments.executor import PointJob
 from repro.kernels.gemm import POINT_AXES
 from repro.kernels.library import get_kernel
-from repro.model.surface import COARSE_LEVELS, SurfaceStore
 from repro.rivals.indexmac import IndexMACConfig
 from repro.rivals.nm import NM_PATTERNS
 from repro.serve.schema import SimRequest
@@ -41,7 +40,6 @@ def keys(job):
         "serve fingerprint": request.fingerprint(),
         "batch key": request.batch_key(),
         "sweep fingerprint": sweep_fingerprint(job),
-        "surface key": SurfaceStore._key(job, COARSE_LEVELS),
     }
 
 
@@ -116,7 +114,7 @@ def test_point_axes_leave_series_keys_equal(base):
         moved += 1
         assert job.canonical_series() == base.canonical_series()
         after = keys(job)
-        for name in ("batch key", "sweep fingerprint", "surface key"):
+        for name in ("batch key", "sweep fingerprint"):
             assert after[name] == before[name], f"{name} moved with {path}"
     assert moved == len(POINT_AXES)
 

@@ -9,20 +9,22 @@ import pytest
 from repro.experiments import (
     fig12,
     fig13,
+    fig14,
     fig15,
     fig16,
     fig17,
     fig18,
     fig19,
+    scaling,
     table1,
     table2,
     table3,
 )
 from repro.experiments.context import RunContext
+from repro.experiments.executor import SimExecutor
 from repro.experiments.sweeps import sweep_kernel
 from repro.core.config import SAVE_2VPU
 from repro.kernels.library import get_kernel
-from repro.model.surface import SurfaceStore
 
 TINY = (0.0, 0.9)
 
@@ -71,8 +73,44 @@ class TestSweepRunners:
         assert len(report.data["w/ MP technique"]) == 2
 
     def test_fig16_tiny(self, tmp_path):
-        report = fig16.run(RunContext(store=SurfaceStore(tmp_path), k_steps=4))
+        report = fig16.run(RunContext(store=tmp_path, k_steps=4))
         assert report.data["n_kernels"] > 60
+
+
+class CountingExecutor(SimExecutor):
+    """A serial executor that counts the jobs it runs."""
+
+    def __init__(self):
+        super().__init__(jobs=1)
+        self.jobs_run = 0
+
+    def map(self, jobs):
+        self.jobs_run += len(jobs)
+        return super().map(jobs)
+
+
+class TestSurfacePointReuse:
+    def test_figures_share_one_store(self, tmp_path):
+        # fig14's coarse grids hold every point fig16 and scaling read
+        # (same tiles, machines, precisions and k_steps, at levels
+        # (0, 0.9) of (0, 0.3, 0.6, 0.9)), so only fig14 simulates.
+        simulated = {}
+        reports = {}
+        for name, runner in (("fig14", fig14), ("fig16", fig16), ("scaling", scaling)):
+            counting = CountingExecutor()
+            ctx = RunContext(store=tmp_path, k_steps=2, samples=1, executor=counting)
+            reports[name] = runner.run(ctx).render()
+            simulated[name] = counting.jobs_run
+        assert simulated["fig14"] > 0
+        assert simulated["fig16"] == simulated["scaling"] == 0
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        counting = CountingExecutor()
+        again = fig14.run(
+            RunContext(store=tmp_path, k_steps=2, samples=1, executor=counting)
+        )
+        assert counting.jobs_run == 0
+        assert again.render() == reports["fig14"]
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
 class TestSweepHelper:

@@ -1,17 +1,17 @@
 """Out-of-core streaming sweeps and their store-backed twins.
 
 The acceptance contract: a streamed sweep's stored rows are identical
-to direct per-point simulation, invariant under batch size, and the
-surface path's store mirror is identical to the legacy in-memory JSON
-surface on a shared grid.
+to direct per-point simulation, invariant under batch size; a rerun
+simulates only the points the sweep lacks; and a surface's stored
+points are its grid, row for row.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import BASELINE_2VPU, SAVE_2VPU
+from repro.experiments.executor import SimExecutor
 from repro.experiments.streamsweep import stream_sweep
-from repro.experiments.sweeps import sweep_kernel
 from repro.fastsim import simulate_config
 from repro.kernels.library import get_kernel
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
@@ -116,34 +116,93 @@ class TestStreamSweep:
             )
 
 
+class CountingExecutor(SimExecutor):
+    """A serial executor that counts the jobs it runs."""
+
+    def __init__(self, fail_after=None):
+        super().__init__(jobs=1)
+        self.jobs_run = 0
+        self.fail_after = fail_after
+
+    def map(self, jobs):
+        if self.fail_after is not None and self.jobs_run >= self.fail_after:
+            raise RuntimeError("interrupted")
+        self.jobs_run += len(jobs)
+        return super().map(jobs)
+
+
+class TestResume:
+    KWARGS = dict(engine="fast", metric="time_ns", k_steps=6)
+
+    def test_interrupted_sweep_reruns_only_missing_points(self, tmp_path):
+        interrupted = CountingExecutor(fail_after=4)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            stream_sweep(
+                "resnet2_2_fwd", SAVE_2VPU, LEVELS, LEVELS, tmp_path,
+                executor=interrupted, batch_points=2, **self.KWARGS,
+            )
+        assert SweepStore(tmp_path).count() == 4
+        rerun = CountingExecutor()
+        summary = stream_sweep(
+            "resnet2_2_fwd", SAVE_2VPU, LEVELS, LEVELS, tmp_path,
+            executor=rerun, batch_points=2, **self.KWARGS,
+        )
+        assert rerun.jobs_run == summary["simulated"] == len(LEVELS) ** 2 - 4
+        fresh = tmp_path / "fresh"
+        stream_sweep(
+            "resnet2_2_fwd", SAVE_2VPU, LEVELS, LEVELS, fresh, **self.KWARGS
+        )
+        resumed = {(r["bs"], r["nbs"]): r["value"] for r in SweepStore(tmp_path).query()}
+        direct = {(r["bs"], r["nbs"]): r["value"] for r in SweepStore(fresh).query()}
+        assert resumed == direct
+        (sweep,) = SweepStore(tmp_path).describe()
+        assert sweep["complete"]
+
+    def test_complete_sweep_rerun_maps_nothing(self, tmp_path):
+        stream_sweep("resnet2_2_fwd", SAVE_2VPU, LEVELS, LEVELS, tmp_path, **self.KWARGS)
+        files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        rerun = CountingExecutor()
+        summary = stream_sweep(
+            "resnet2_2_fwd", SAVE_2VPU, LEVELS, LEVELS, tmp_path,
+            executor=rerun, **self.KWARGS,
+        )
+        assert rerun.jobs_run == summary["simulated"] == 0
+        assert summary["points"] == len(LEVELS) ** 2
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+    def test_repeated_levels_are_swept_once(self, tmp_path):
+        summary = stream_sweep(
+            "resnet2_2_fwd", SAVE_2VPU, (0.0, 0.4, 0.0), (0.4, 0.4), tmp_path,
+            **self.KWARGS,
+        )
+        assert summary["points"] == summary["simulated"] == 2
+        assert SweepStore(tmp_path).count() == 2
+
+
 class TestSurfaceStoreMirror:
     def test_store_rows_equal_legacy_surface_json(self, tmp_path):
-        # The acceptance grid: the paper's 10%-step levels.  The store
-        # mirror written by SparsitySurface.build must reproduce the
-        # in-memory JSON surface exactly, row for row.
+        # The acceptance grid: the paper's 10%-step levels.  The points
+        # SparsitySurface.build stores must be its grid, row for row.
         levels = tuple(round(0.1 * i, 1) for i in range(10))
         tile = RegisterTile(2, 2, BroadcastPattern.EXPLICIT)
         surface = SparsitySurface.build(
             tile,
             Precision.FP32,
             SAVE_2VPU,
+            tmp_path,
             levels=levels,
             k_steps=6,
             engine="fast",
-            store_root=tmp_path,
         )
-        payload = surface.to_json()
         rows = list(SweepStore(tmp_path).query(kernel="surface"))
         assert len(rows) == len(levels) ** 2
         for index, row in enumerate(rows):
             i, j = divmod(index, len(levels))
-            assert row["bs"] == pytest.approx(levels[i])
-            assert row["nbs"] == pytest.approx(levels[j])
-            assert row["value"] == pytest.approx(
-                payload["ns_per_fma"][i][j]
-            )
-        assert rows[0]["machine"] == payload["label"]
-        assert rows[0]["engine"] == payload["engine"]
+            assert row["bs"] == levels[i]
+            assert row["nbs"] == levels[j]
+            assert row["value"] == surface.ns_per_fma[i][j]
+        assert rows[0]["machine"] == surface.label
+        assert rows[0]["engine"] == surface.engine
 
     def test_streamed_sweep_equals_surface_grid(self, tmp_path):
         # Same grid, same machine, same tier: the out-of-core path and
@@ -153,7 +212,7 @@ class TestSurfaceStoreMirror:
         levels = (0.0, 0.3, 0.6)
         tile = get_kernel("explicit_wide").tile
         surface = SparsitySurface.build(
-            tile, Precision.FP32, SAVE_2VPU,
+            tile, Precision.FP32, SAVE_2VPU, tmp_path / "surfaces",
             levels=levels, k_steps=6, engine="fast",
         )
         stream_sweep(
@@ -164,28 +223,3 @@ class TestSurfaceStoreMirror:
             [r["value"] for r in SweepStore(tmp_path).query()]
         ).reshape(len(levels), len(levels))
         np.testing.assert_allclose(values, surface.ns_per_fma)
-
-
-class TestSweepKernelStoreMirror:
-    def test_point_times_recorded_per_machine(self, tmp_path):
-        spec = get_kernel("resnet2_2_fwd")
-        results = sweep_kernel(
-            spec,
-            {"save": SAVE_2VPU},
-            (0.0, 0.6),
-            (0.0, 0.6),
-            k_steps=4,
-            engine="analytic",
-            store_root=tmp_path,
-        )
-        store = SweepStore(tmp_path)
-        rows = list(store.query(kernel="resnet2_2_fwd", metric="time_ns"))
-        assert len(rows) == 4
-        speedups = results["save"].speedups
-        base_time = None
-        for row in rows:
-            speedup = speedups[(round(row["bs"], 2), round(row["nbs"], 2))]
-            reconstructed = speedup * row["value"]
-            if base_time is None:
-                base_time = reconstructed
-            assert reconstructed == pytest.approx(base_time)

@@ -160,7 +160,7 @@ class TestPredictedSurface:
         # Time never grows with more broadcast sparsity.
         assert (grid[1:, :] <= grid[:-1, :] + 1e-12).all()
 
-    def test_correlates_with_simulated_surface(self):
+    def test_correlates_with_simulated_surface(self, tmp_path):
         import numpy as np
 
         from repro.model.analytic import predicted_surface
@@ -169,7 +169,7 @@ class TestPredictedSurface:
         levels = (0.0, 0.45, 0.9)
         analytic = predicted_surface(EXPLICIT, SAVE_2VPU, levels=levels)
         simulated = SparsitySurface.build(
-            EXPLICIT, Precision.FP32, SAVE_2VPU, levels=levels, k_steps=12
+            EXPLICIT, Precision.FP32, SAVE_2VPU, tmp_path, levels=levels, k_steps=12
         )
         a = analytic.ns_per_fma.ravel()
         s = simulated.ns_per_fma.ravel()

@@ -7,7 +7,6 @@ from repro.kernels.tiling import Precision
 from repro.model.dvfs import DvfsModel
 from repro.model.estimator import ONE_VPU, TWO_VPUS, KernelEstimate, NetworkEstimator
 from repro.model.networks import RESNET50_PRUNED
-from repro.model.surface import SurfaceStore
 
 
 def estimate(t2, t1, name="k"):
@@ -51,13 +50,13 @@ class TestSchedule:
 
 
 class TestPaperClaim:
-    def test_overhead_negligible_for_resnet_training(self):
+    def test_overhead_negligible_for_resnet_training(self, tmp_path):
         # Paper: ~10 us transitions vs tens-of-milliseconds kernels ->
         # neglecting the overhead is justified.
         estimator = NetworkEstimator(
             RESNET50_PRUNED,
             Precision.FP32,
-            store=SurfaceStore(),
+            store=tmp_path,
             levels=(0.0, 0.45, 0.9),
             k_steps=8,
         )

@@ -1,6 +1,6 @@
 """Tests for the whole-network estimators (Fig. 14 machinery).
 
-These use tiny grids and short kernels via a tmp-dir SurfaceStore, so
+These use tiny grids and short kernels via a tmp-dir sweep store, so
 they validate the plumbing and orderings rather than absolute numbers.
 """
 
@@ -18,7 +18,6 @@ from repro.model.estimator import (
 )
 from repro.model.inference import evaluate_inference
 from repro.model.networks import GNMT, RESNET50_PRUNED, VGG16
-from repro.model.surface import SurfaceStore
 from repro.model.training import evaluate_training, sampled_steps
 
 LEVELS = (0.0, 0.45, 0.9)
@@ -27,7 +26,7 @@ K_STEPS = 8
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
-    return SurfaceStore(tmp_path_factory.mktemp("surfaces"))
+    return tmp_path_factory.mktemp("surfaces")
 
 
 @pytest.fixture(scope="module")

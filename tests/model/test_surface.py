@@ -1,23 +1,23 @@
-"""Tests for sparsity surfaces, interpolation and the disk store."""
+"""Tests for sparsity surfaces, interpolation and their sweep store."""
 
-import json
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core.config import BASELINE_2VPU, SAVE_2VPU
+from repro.experiments.executor import SimExecutor
 from repro.fsio import FileLock
 from repro.kernels.tiling import BroadcastPattern, Precision, RegisterTile
 from repro.model.surface import (
     COARSE_LEVELS,
     PAPER_LEVELS,
-    SURFACE_SCHEMA_VERSION,
     SparsitySurface,
-    SurfaceStore,
     machine_label,
     simulate_point,
+    surface_series,
 )
+from repro.store import SweepStore, sweep_fingerprint
 
 TILE = RegisterTile(2, 2, BroadcastPattern.EXPLICIT)
 
@@ -59,65 +59,99 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             SparsitySurface(levels=(0.0, 0.5), ns_per_fma=np.zeros((3, 3)))
 
-    def test_json_roundtrip(self):
-        surface = self.surface()
-        clone = SparsitySurface.from_json(surface.to_json())
-        assert np.array_equal(clone.ns_per_fma, surface.ns_per_fma)
-        assert clone.interpolate(0.25, 0.25) == surface.interpolate(0.25, 0.25)
-
 
 class TestSimulatedSurfaces:
     def test_simulate_point_positive(self):
         value = simulate_point(TILE, Precision.FP32, BASELINE_2VPU, 0.0, 0.0, k_steps=4)
         assert value > 0
 
-    def test_save_surface_monotone_in_bs(self):
+    def test_save_surface_monotone_in_bs(self, tmp_path):
         surface = SparsitySurface.build(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=8
+            TILE, Precision.FP32, SAVE_2VPU, tmp_path, levels=(0.0, 0.9), k_steps=8
         )
         assert surface.ns_per_fma[1, 0] <= surface.ns_per_fma[0, 0] * 1.05
 
-    def test_build_shape(self):
+    def test_build_shape(self, tmp_path):
         surface = SparsitySurface.build(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4
+            TILE, Precision.FP32, SAVE_2VPU, tmp_path, levels=(0.0, 0.9), k_steps=4
         )
         assert surface.ns_per_fma.shape == (2, 2)
         assert surface.label == machine_label(SAVE_2VPU)
 
 
+class CountingExecutor(SimExecutor):
+    """A serial executor that counts the jobs it runs."""
+
+    def __init__(self):
+        super().__init__(jobs=1)
+        self.jobs_run = 0
+
+    def map(self, jobs):
+        self.jobs_run += len(jobs)
+        return super().map(jobs)
+
+
+def build(root, machine=SAVE_2VPU, levels=(0.0, 0.9), k_steps=4, executor=None):
+    return SparsitySurface.build(
+        TILE, Precision.FP32, machine, root, levels=levels, k_steps=k_steps,
+        executor=executor,
+    )
+
+
 class TestSurfaceStore:
+    """A surface's points live in its series' sweep of the store."""
+
     def test_roundtrip_and_disk_hit(self, tmp_path):
-        store = SurfaceStore(tmp_path)
-        s1 = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
-        # Fresh store instance: must load from disk, not re-simulate.
-        store2 = SurfaceStore(tmp_path)
-        s2 = store2.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
+        s1 = build(tmp_path)
+        # A second build must read the stored points, not re-simulate.
+        counting = CountingExecutor()
+        s2 = build(tmp_path, executor=counting)
+        assert counting.jobs_run == 0
         assert np.array_equal(s1.ns_per_fma, s2.ns_per_fma)
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(SweepStore(tmp_path).describe()) == 1
 
     def test_distinct_keys(self, tmp_path):
-        store = SurfaceStore(tmp_path)
-        store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
-        store.get(TILE, Precision.FP32, BASELINE_2VPU, levels=(0.0,), k_steps=4)
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        build(tmp_path)
+        build(tmp_path, machine=BASELINE_2VPU, levels=(0.0,))
+        assert len(SweepStore(tmp_path).describe()) == 2
 
     def test_machine_variant_gets_its_own_surface(self, tmp_path):
-        # The two machines share a display label; the cache key must
+        # The two machines share a display label; the sweep key must
         # still tell them apart.
         variant = SAVE_2VPU.with_core(issue_width=4)
         assert machine_label(variant) == machine_label(SAVE_2VPU)
-        store = SurfaceStore(tmp_path)
-        kwargs = dict(levels=(0.0, 0.5), k_steps=8)
-        store.get(TILE, Precision.FP32, SAVE_2VPU, **kwargs)
-        cached = store.get(TILE, Precision.FP32, variant, **kwargs)
-        fresh = SparsitySurface.build(TILE, Precision.FP32, variant, **kwargs)
-        assert np.array_equal(cached.ns_per_fma, fresh.ns_per_fma)
+        build(tmp_path, levels=(0.0, 0.5), k_steps=8)
+        counting = CountingExecutor()
+        stored = build(tmp_path, variant, (0.0, 0.5), 8, executor=counting)
+        assert counting.jobs_run == 4  # nothing reused from SAVE_2VPU
+        fresh = build(tmp_path / "fresh", variant, (0.0, 0.5), 8)
+        assert np.array_equal(stored.ns_per_fma, fresh.ns_per_fma)
+        assert len(SweepStore(tmp_path).describe()) == 2
 
     def test_memory_cache(self, tmp_path):
-        store = SurfaceStore(tmp_path)
-        a = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
-        b = store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
+        # An estimator loads each (machine, tile) surface once and keeps
+        # it in memory; there is no process-wide memo.
+        from repro.model.estimator import TWO_VPUS, NetworkEstimator
+        from repro.model.networks import VGG16
+
+        estimator = NetworkEstimator(VGG16, store=tmp_path, levels=(0.0,), k_steps=4)
+        a = estimator._surface(TWO_VPUS, TILE)
+        b = estimator._surface(TWO_VPUS, TILE)
         assert a is b
+        other = NetworkEstimator(VGG16, store=tmp_path, levels=(0.0,), k_steps=4)
+        assert other._surface(TWO_VPUS, TILE) is not a
+
+    def test_grids_of_one_series_share_points(self, tmp_path):
+        coarse = build(tmp_path, levels=COARSE_LEVELS)
+        counting = CountingExecutor()
+        sub = build(tmp_path, levels=(0.0, 0.9), executor=counting)
+        assert counting.jobs_run == 0
+        assert np.array_equal(sub.ns_per_fma, coarse.ns_per_fma[::3, ::3])
+        # A finer grid simulates only the points the sweep lacks.
+        build(tmp_path, levels=(0.0, 0.45, 0.9), executor=counting)
+        assert counting.jobs_run == 9 - 4
+        (sweep,) = SweepStore(tmp_path).describe()
+        assert sweep["rows"] == 16 + 5
 
 
 class TestMachineLabel:
@@ -130,80 +164,40 @@ class TestMachineLabel:
 
 
 class TestSurfaceStoreDurability:
-    """Atomic writes, advisory locking, schema-version invalidation."""
-
-    def entry_path(self, tmp_path):
-        store = SurfaceStore(tmp_path)
-        store.get(TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4)
-        (path,) = tmp_path.glob("*.json")
-        return path
-
-    def test_entries_carry_schema_envelope(self, tmp_path):
-        payload = json.loads(self.entry_path(tmp_path).read_text())
-        assert payload["schema"] == SURFACE_SCHEMA_VERSION
-        assert "surface" in payload
-
-    def test_stale_schema_entry_is_rebuilt(self, tmp_path):
-        path = self.entry_path(tmp_path)
-        envelope = json.loads(path.read_text())
-        envelope["schema"] = SURFACE_SCHEMA_VERSION - 1
-        path.write_text(json.dumps(envelope))
-        fresh = SurfaceStore(tmp_path)
-        surface = fresh.get(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4
-        )
-        assert surface.ns_per_fma.shape == (2, 2)
-        assert json.loads(path.read_text())["schema"] == SURFACE_SCHEMA_VERSION
-
-    def test_torn_entry_is_rebuilt_not_fatal(self, tmp_path):
-        path = self.entry_path(tmp_path)
-        raw = path.read_text()
-        path.write_text(raw[: len(raw) // 2])
-        surface = SurfaceStore(tmp_path).get(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4
-        )
-        assert surface.ns_per_fma.shape == (2, 2)
-        # The damaged file was replaced by a valid envelope.
-        assert json.loads(path.read_text())["schema"] == SURFACE_SCHEMA_VERSION
+    """Atomic segment writes and the sweep's advisory lock."""
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        self.entry_path(tmp_path)
-        stray = [p.name for p in tmp_path.iterdir()
-                 if p.suffix not in (".json", ".lock")]
-        assert stray == []
+        build(tmp_path)
+        (sweep_dir,) = tmp_path.iterdir()
+        names = sorted(p.name for p in sweep_dir.iterdir())
+        assert names == ["manifest.json", "manifest.json.lock", "seg-000000.npz"]
 
-    def test_waiting_builder_reuses_winners_entry(self, tmp_path, monkeypatch):
-        """A second process blocked on the lock must not re-simulate."""
-        first = SurfaceStore(tmp_path)
-        surface = first.get(
-            TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4
-        )
-        (path,) = tmp_path.glob("*.json")
-        envelope = path.read_text()
-        path.unlink()
-
-        def forbidden_build(*args, **kwargs):
-            raise AssertionError("waiter must read the winner's entry")
-
-        monkeypatch.setattr(SparsitySurface, "build", forbidden_build)
-        second = SurfaceStore(tmp_path)
-        lock = FileLock(path.with_suffix(".lock")).acquire()
+    def test_waiting_builder_reuses_winners_entry(self, tmp_path):
+        """A builder blocked on the sweep's lock must not re-simulate."""
+        series = surface_series(TILE, Precision.FP32, SAVE_2VPU, k_steps=4)
+        sweep_dir = tmp_path / sweep_fingerprint(series)
+        sweep_dir.mkdir()
+        lock = FileLock(sweep_dir / "manifest.json.lock").acquire()
+        waiter_executor = CountingExecutor()
         done = []
 
         def waiter():
-            got = second.get(
-                TILE, Precision.FP32, SAVE_2VPU, levels=(0.0, 0.9), k_steps=4
-            )
-            done.append(got)
+            done.append(build(tmp_path, executor=waiter_executor))
 
         thread = threading.Thread(target=waiter)
         thread.start()
         try:
             thread.join(timeout=0.3)
             assert thread.is_alive()  # blocked on the advisory lock
-            path.write_text(envelope)  # the "winner" publishes its build
+            # The "winner" publishes its build while holding the lock.
+            winner = build(tmp_path / "winner")
+            (winner_dir,) = (tmp_path / "winner").iterdir()
+            for path in winner_dir.iterdir():
+                if path.suffix != ".lock":
+                    (sweep_dir / path.name).write_bytes(path.read_bytes())
         finally:
             lock.release()
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert np.array_equal(done[0].ns_per_fma, surface.ns_per_fma)
+        assert waiter_executor.jobs_run == 0
+        assert np.array_equal(done[0].ns_per_fma, winner.ns_per_fma)

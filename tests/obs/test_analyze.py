@@ -304,21 +304,42 @@ class TestTraceReportCli:
         document = json.loads(chrome.read_text())
         assert document["traceEvents"]
 
-    def test_chrome_trace_read_back_error_is_exit_2(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # The report pass succeeds; the file is then found malformed on
-        # the read-back for the Chrome export.
-        import repro.obs.analyze as analyze_mod
-
+    def test_chrome_trace_read_back_error_is_exit_2(self, tmp_path, capsys):
+        # With --chrome-trace the one parse that feeds both outputs
+        # refuses the malformed file before anything is written.
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"event": "retire"}\n')
-        monkeypatch.setattr(
-            analyze_mod, "analyze_file", lambda path, window=None: analyze_events([])
-        )
         assert trace_report_main(
             [str(trace), "--out", str(tmp_path / "r.md"),
              "--chrome-trace", str(tmp_path / "c.json")]
         ) == 2
         err = capsys.readouterr().err
         assert err == f"error: {trace}:1: missing schema version stamp 'v'\n"
+        assert not (tmp_path / "c.json").exists()
+
+    def test_chrome_export_parses_the_trace_once(self, tmp_path, monkeypatch):
+        import io
+        import json
+
+        import repro.obs.analyze as analyze_mod
+        from repro.obs.chrometrace import chrome_trace
+
+        trace = tmp_path / "t.jsonl"
+        chrome = tmp_path / "c.json"
+        self._write_trace(str(trace))
+        calls = []
+        real = analyze_mod.read_events
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analyze_mod, "read_events", counting)
+        assert trace_report_main(
+            [str(trace), "--out", str(tmp_path / "r.md"), "--chrome-trace", str(chrome)]
+        ) == 0
+        assert len(calls) == 1
+        # Byte-identical to the streaming encoder (json.dump) it replaced.
+        reference = io.StringIO()
+        json.dump(chrome_trace(events=real(str(trace))), reference, separators=(",", ":"))
+        assert chrome.read_text() == reference.getvalue()

@@ -115,6 +115,33 @@ class TestStoreRecording:
         rows = list(store.query(kernel="nm24_fwd"))
         assert len(rows) == len(MECHANISMS) * len(LEVELS) ** 2
 
+    def test_rerun_reads_the_store_and_simulates_only_the_baseline(
+        self, tmp_path, result
+    ):
+        class Counting(SimExecutor):
+            def __init__(self):
+                super().__init__(jobs=1)
+                self.batches = []
+
+            def map(self, jobs):
+                self.batches.append(len(jobs))
+                return super().map(jobs)
+
+        first, second = Counting(), Counting()
+        root = tmp_path / "store"
+        stored = compare_mechanisms(
+            levels=LEVELS, k_steps=6, executor=first, store_root=root
+        )
+        assert first.batches == [1 + len(MECHANISMS) * len(LEVELS) ** 2]
+        rerun = compare_mechanisms(
+            levels=LEVELS, k_steps=6, executor=second, store_root=root
+        )
+        assert second.batches == [1]
+        assert rerun == stored == result
+        store = SweepStore(root)
+        assert len(store.describe()) == len(MECHANISMS)
+        assert store.count() == len(MECHANISMS) * len(LEVELS) ** 2
+
 
 class TestExperimentAndCharts:
     def test_registered(self):

@@ -28,7 +28,7 @@ class TestSweepMain:
         assert sweep_main(["nope", "--store", str(tmp_path)]) == 2
         assert "nope" in capsys.readouterr().err
 
-    def test_existing_sweep_exits_1(self, swept_store, capsys):
+    def test_rerun_reuses_stored_points(self, swept_store, capsys):
         code = sweep_main(
             [
                 "resnet2_2_fwd",
@@ -38,8 +38,8 @@ class TestSweepMain:
                 "--engine", "analytic",
             ]
         )
-        assert code == 1
-        assert "already exists" in capsys.readouterr().err
+        assert code == 0
+        assert "swept 16 points, 0 simulated" in capsys.readouterr().out
 
     def test_summary_line(self, swept_store, tmp_path, capsys):
         code = sweep_main(

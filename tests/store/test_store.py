@@ -2,15 +2,24 @@
 
 import io
 import json
+import tempfile
+import threading
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import BASELINE_2VPU, SAVE_2VPU, machine_label
-from repro.experiments.executor import PointJob
+from repro.experiments.executor import METRIC_NS_PER_FMA, PointJob
+from repro.experiments.streamsweep import stream_sweep
+from repro.fsio import FileLock, LockTimeout
 from repro.kernels.library import get_kernel
 from repro.kernels.tiling import Precision
 from repro.store import (
+    FILTER_FIELDS,
     QUERY_FIELDS,
     STORE_SCHEMA_VERSION,
     SWEEP_COLUMNS,
@@ -19,8 +28,10 @@ from repro.store import (
     SweepStore,
     SweepWriter,
     sweep_fingerprint,
+    read_segment,
     sweep_meta,
     validate_meta,
+    write_segment,
 )
 from repro.store.writer import read_manifest
 
@@ -84,6 +95,7 @@ class TestSchema:
     def test_query_fields_cover_columns_and_identity(self):
         assert set(SWEEP_COLUMNS) <= set(QUERY_FIELDS)
         assert set(QUERY_FIELDS) - set(SWEEP_COLUMNS) <= set(SWEEP_META_FIELDS)
+        assert QUERY_FIELDS == FILTER_FIELDS + tuple(SWEEP_COLUMNS)
 
 
 class TestWriter:
@@ -118,21 +130,6 @@ class TestWriter:
         assert [s["rows"] for s in manifest["segments"]] == [4, 4, 2]
         values = [r["value"] for r in SweepStore(tmp_path).query()]
         assert values == [float(i) for i in range(10)]
-
-    def test_existing_sweep_refused_without_overwrite(self, tmp_path):
-        write_points(tmp_path, POINTS)
-        with pytest.raises(StoreError, match="already exists"):
-            SweepWriter(tmp_path, job())
-
-    def test_overwrite_replaces_previous_run(self, tmp_path):
-        write_points(tmp_path, POINTS, segment_rows=2)
-        write_points(
-            tmp_path, [(0.9, 0.9, 1.0)], overwrite=True, segment_rows=2
-        )
-        rows = list(SweepStore(tmp_path).query())
-        assert [(r["bs"], r["nbs"], r["value"]) for r in rows] == [
-            (0.9, 0.9, 1.0)
-        ]
 
     def test_append_batch_matches_append(self, tmp_path):
         write_points(tmp_path / "one", POINTS)
@@ -177,6 +174,198 @@ class TestWriter:
                 list(SweepStore(tmp_path).query())
 
 
+class TestGrowingSweep:
+    """A sweep is a growing set of points, each held at most once."""
+
+    def test_reopen_keeps_segments_and_exposes_stored_points(self, tmp_path):
+        write_points(tmp_path, POINTS[:2], segment_rows=1)
+        with SweepWriter(tmp_path, job()) as writer:
+            assert writer.stored == {(bs, nbs): v for bs, nbs, v in POINTS[:2]}
+            writer.append_batch(*zip(*POINTS[2:]))
+        manifest = read_manifest(tmp_path / writer.fingerprint)
+        assert [s["rows"] for s in manifest["segments"]] == [1, 1, 2]
+        assert manifest["rows"] == len(POINTS) and manifest["complete"]
+        rows = list(SweepStore(tmp_path).query())
+        assert [(r["bs"], r["nbs"], r["value"]) for r in rows] == POINTS
+        assert SweepStore(tmp_path).points(job()) == {
+            (bs, nbs): v for bs, nbs, v in POINTS
+        }
+
+    def test_appending_a_stored_point_is_refused(self, tmp_path):
+        write_points(tmp_path, POINTS)
+        with SweepWriter(tmp_path, job()) as writer:
+            with pytest.raises(StoreError, match="already holds"):
+                writer.append(0.5, 0.0, 1.0)
+        assert SweepStore(tmp_path).count() == len(POINTS)
+
+    def test_writer_holds_the_sweep_lock_until_close(self, tmp_path):
+        writer = SweepWriter(tmp_path, job(), segment_rows=1)
+        lock = FileLock(
+            tmp_path / writer.fingerprint / "manifest.json.lock", timeout=0.05
+        )
+        with pytest.raises(LockTimeout):
+            lock.acquire()
+        writer.append(0.1, 0.1, 1.0)  # a flush under the held lock
+        writer.close()
+        lock.acquire().release()
+
+    def test_waiting_writer_sees_the_holders_points(self, tmp_path):
+        first = SweepWriter(tmp_path, job())
+        seen = []
+        thread = threading.Thread(
+            target=lambda: seen.append(SweepWriter(tmp_path, job()).stored)
+        )
+        thread.start()
+        thread.join(timeout=0.3)
+        assert thread.is_alive()  # blocked on the sweep's lock
+        first.append(0.2, 0.3, 5.0)
+        first.close()
+        thread.join(timeout=10)
+        assert seen == [{(0.2, 0.3): 5.0}]
+
+    def test_missing_sweep_reads_no_points(self, tmp_path):
+        assert SweepStore(tmp_path).points(job()) == {}
+        assert not tmp_path.joinpath(sweep_fingerprint(job())).exists()
+
+
+GRID = (0.0, 0.25, 0.5, 0.75)
+#: The series ``stream_sweep("resnet2_2_fwd", ..., engine="analytic",
+#: k_steps=4)`` fills.
+ANALYTIC = PointJob(
+    config=get_kernel("resnet2_2_fwd").config(k_steps=4),
+    machine=SAVE_2VPU,
+    metric=METRIC_NS_PER_FMA,
+    engine="analytic",
+)
+
+
+@settings(max_examples=12)
+@given(
+    fills=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(GRID), min_size=1, max_size=4),
+            st.lists(st.sampled_from(GRID), min_size=1, max_size=4),
+            st.integers(min_value=1, max_value=5),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_overlapping_fills_store_each_point_once(fills):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        wanted = set()
+        for bs_levels, nbs_levels, batch in fills:
+            stream_sweep(
+                "resnet2_2_fwd", SAVE_2VPU, bs_levels, nbs_levels, root,
+                engine="analytic", k_steps=4, batch_points=batch,
+            )
+            wanted |= {(bs, nbs) for bs in bs_levels for nbs in nbs_levels}
+        rows = list(SweepStore(root).query())
+        assert len(rows) == len(wanted)
+        for row in rows:
+            assert row["value"] == ANALYTIC.at(row["bs"], row["nbs"]).run()
+
+
+def test_concurrent_overlapping_fills_store_each_point_once(tmp_path):
+    # More fillers than cores, switching often: the sweep's lock and the
+    # re-check under it must leave each point stored exactly once.
+    import sys
+
+    grids = [GRID[i:] + GRID[:i] for i in range(6)]
+    errors = []
+
+    def fill(levels):
+        try:
+            stream_sweep(
+                "resnet2_2_fwd", SAVE_2VPU, levels, GRID[:2], tmp_path,
+                engine="analytic", k_steps=4, batch_points=1,
+            )
+        except Exception as error:  # reported below, not swallowed
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=fill, args=(g,)) for g in grids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    rows = list(SweepStore(tmp_path).query())
+    assert len(rows) == len(GRID) * 2
+    assert len({(row["bs"], row["nbs"]) for row in rows}) == len(rows)
+
+
+class TestSegmentIo:
+    """The one read/write pair refuses any drift from SWEEP_COLUMNS."""
+
+    def columns(self, n=3):
+        return {
+            name: np.arange(n, dtype=dtype) for name, dtype in SWEEP_COLUMNS.items()
+        }
+
+    def save(self, path, arrays):
+        np.savez(path, **arrays)
+        return path
+
+    def test_roundtrip_every_column(self, tmp_path):
+        columns = self.columns()
+        write_segment(tmp_path / "seg.npz", columns)
+        arrays = read_segment(tmp_path / "seg.npz")
+        assert list(arrays) == list(SWEEP_COLUMNS)
+        for name, dtype in SWEEP_COLUMNS.items():
+            assert arrays[name].dtype == np.dtype(dtype)
+            assert np.array_equal(arrays[name], columns[name])
+
+    def test_extra_array_refused(self, tmp_path):
+        path = self.save(tmp_path / "seg.npz", {**self.columns(), "extra": np.ones(3)})
+        with pytest.raises(StoreError, match=r"extra \['extra'\]"):
+            read_segment(path)
+
+    @pytest.mark.parametrize("column", list(SWEEP_COLUMNS))
+    def test_missing_array_refused(self, tmp_path, column):
+        arrays = self.columns()
+        del arrays[column]
+        path = self.save(tmp_path / "seg.npz", arrays)
+        with pytest.raises(StoreError, match=f"missing \\['{column}'\\]"):
+            read_segment(path)
+
+    @pytest.mark.parametrize("column", list(SWEEP_COLUMNS))
+    def test_wrong_dtype_refused(self, tmp_path, column):
+        arrays = {**self.columns(), column: np.arange(3, dtype="float32")}
+        path = self.save(tmp_path / "seg.npz", arrays)
+        with pytest.raises(StoreError, match=f"column '{column}' is float32"):
+            read_segment(path)
+
+    def test_unequal_lengths_refused(self, tmp_path):
+        arrays = {**self.columns(), "value": np.arange(2, dtype="float64")}
+        path = self.save(tmp_path / "seg.npz", arrays)
+        with pytest.raises(StoreError, match="unequal lengths"):
+            read_segment(path)
+        with pytest.raises(ValueError, match="equal lengths"):
+            write_segment(tmp_path / "other.npz", arrays)
+
+    def test_damaged_file_refused(self, tmp_path):
+        write_segment(tmp_path / "seg.npz", self.columns())
+        raw = (tmp_path / "seg.npz").read_bytes()
+        (tmp_path / "seg.npz").write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(StoreError, match="unreadable segment"):
+            read_segment(tmp_path / "seg.npz")
+
+    def test_every_column_reaches_query_rows(self, tmp_path):
+        writer = write_points(tmp_path, POINTS)
+        for name in SWEEP_COLUMNS:
+            (sweep_dir,) = tmp_path.iterdir()
+            stored = read_segment(sweep_dir / "seg-000000.npz")[name]
+            rows = list(SweepStore(tmp_path).query(fingerprint=writer.fingerprint))
+            assert [row[name] for row in rows] == stored.tolist()
+
+
 class TestQuery:
     @pytest.fixture()
     def store(self, tmp_path):
@@ -208,6 +397,11 @@ class TestQuery:
         assert len(summaries) == 2
         assert {s["engine"] for s in summaries} == {"fast", "exact"}
         assert all(s["complete"] for s in summaries)
+
+    def test_rows_carry_exactly_the_query_fields(self, store):
+        rows = list(store.query())
+        assert rows
+        assert all(tuple(row) == QUERY_FIELDS for row in rows)
 
     def test_empty_root_queries_empty(self, tmp_path):
         empty = SweepStore(tmp_path / "missing")
@@ -287,6 +481,12 @@ class TestExport:
         assert len(lines) == len(POINTS) + 1
         label = machine_label(SAVE_2VPU)
         assert lines[1].startswith(f"resnet2_2_fwd,{label},fast,save,time_ns,")
+
+    def test_csv_refuses_unknown_column(self, tmp_path):
+        write_points(tmp_path, POINTS)
+        rows = [{**row, "flavour": 1} for row in SweepStore(tmp_path).query()]
+        with pytest.raises(ValueError, match="not QUERY_FIELDS"):
+            SweepStore.write_csv(rows, io.StringIO())
 
     def test_json_field_order(self, tmp_path):
         write_points(tmp_path, POINTS)
